@@ -167,7 +167,7 @@ def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap | None = None)
     """Assemble the compliance block M and divergence block B on the grid."""
     if dofs is None:
         dofs = build_dof_map(grid)
-    box = grid.element_box(next(iter(grid.elements())))
+    box = grid.element_box((0,) * grid.dim)
     m_loc = local_compliance_matrix(box, material)
     b_loc = local_div_matrix(box)
     M = _scatter(m_loc, dofs.element_stress, dofs.element_stress, (dofs.n_stress, dofs.n_stress))
@@ -198,7 +198,7 @@ def assemble_load(
 
 def assemble_stress_gram(grid: TensorGrid, dofs: DofMap) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Global L2 and div-div Gram matrices of the stress space (exact)."""
-    box = grid.element_box(next(iter(grid.elements())))
+    box = grid.element_box((0,) * grid.dim)
     g_l2 = _scatter(
         stress_l2_gram(box), dofs.element_stress, dofs.element_stress,
         (dofs.n_stress, dofs.n_stress),
@@ -212,7 +212,7 @@ def assemble_stress_gram(grid: TensorGrid, dofs: DofMap) -> tuple[sp.csr_matrix,
 
 def assemble_disp_mass(grid: TensorGrid, dofs: DofMap) -> sp.csr_matrix:
     """Global mass matrix of the displacement space (exact, block diagonal)."""
-    box = grid.element_box(next(iter(grid.elements())))
+    box = grid.element_box((0,) * grid.dim)
     return _scatter(
         disp_mass(box), dofs.element_disp, dofs.element_disp,
         (dofs.n_disp, dofs.n_disp),

@@ -126,6 +126,14 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_study_past_direct_limit_exit_code(tmp_path, capsys):
+    # N=160 is past the direct size limit, so auto hands it to MINRES
+    out = tmp_path / "switch.csv"
+    assert main(["--levels", "32,64,128,160", "--output", str(out)]) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    assert len(_read_csv(out)) == 1 + 4 + 1
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(

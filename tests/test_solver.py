@@ -8,8 +8,10 @@ from elastmix.grid import unit_grid
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
 from elastmix.solver import (
+    DIRECT_SIZE_LIMIT,
     ConvergenceError,
     SingularSystemError,
+    SolveReport,
     solve,
 )
 
@@ -190,3 +192,46 @@ def test_input_validation():
         solve(system, load[:-1])
     with pytest.raises(ValueError):
         solve(system, load, method="cg")
+
+
+def _minres_iterations(dim, n, lam=1.0):
+    grid = unit_grid(dim, n)
+    material = LameParams(mu=0.5, lam=lam)
+    dofs = build_dof_map(grid)
+    system = assemble(grid, material, dofs)
+    load = assemble_load(grid, sine_solution(dim, material).f, dofs)
+    _, _, report = solve(system, load, tol=1e-11, method="minres")
+    assert report.residual <= 1e-11
+    return report.iterations
+
+
+@pytest.mark.parametrize("dim, sizes", [(2, (16, 32, 64)), (3, (6, 8, 10))])
+def test_minres_iterations_flat_under_refinement(dim, sizes):
+    counts = np.array([_minres_iterations(dim, n) for n in sizes])
+    assert np.abs(counts - counts.mean()).max() <= 0.15 * counts.mean()
+
+
+def test_minres_iterations_robust_in_lambda():
+    assert _minres_iterations(2, 16, lam=1e4) <= 2 * _minres_iterations(2, 16)
+
+
+def test_auto_minres_meets_contract_past_direct_limit():
+    # 2D N=150 is the first mesh past DIRECT_SIZE_LIMIT
+    grid, dofs, system, load = _assembled(n=150)
+    assert system.n_total > DIRECT_SIZE_LIMIT
+    _, _, report = solve(system, load, tol=1e-11, method="auto")
+    assert report.method == "minres"
+    assert report.residual <= 1e-11
+
+
+def test_report_setup_time_and_restarts():
+    _, dofs, system, load = _assembled(n=4)
+    _, _, direct = solve(system, load, method="direct")
+    assert 0 < direct.setup_time <= direct.wall_time
+    assert direct.restarts == 0
+    _, _, minres = solve(system, load, method="minres")
+    assert 0 < minres.setup_time <= minres.wall_time
+    assert 0 <= minres.restarts < 8
+    # the two trailing fields default, so four-field constructions still work
+    four = SolveReport("direct", 0.0, 0, 1.0)
+    assert four == SolveReport("direct", 0.0, 0, 1.0, 0.0, 0)
