@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .assembly import SaddleSystem, assemble, assemble_load, build_dof_map
+from .assembly import assemble, assemble_load, build_dof_map
 from .grid import TensorGrid, unit_grid
 from .interpolate import interp_stress, project_displacement
 from .manufactured import SOLUTIONS, solution_by_name
@@ -106,8 +106,8 @@ def run_level(
     solution: str,
     quad_points: int = 5,
     solver_tol: float = 1e-11,
-) -> tuple[LevelResult, SaddleSystem]:
-    """Assemble, solve and measure one grid; also returns the saddle system."""
+) -> LevelResult:
+    """Assemble, solve and measure one grid."""
     start = time.perf_counter()
     exact = solution_by_name(solution, grid.dim, material)
     dofs = build_dof_map(grid)
@@ -125,14 +125,13 @@ def run_level(
     work = float(load @ u_h.coeffs)
     energy_residual = abs(energy + work) / max(abs(energy), 1e-300)
 
-    level = LevelResult(
+    return LevelResult(
         n=max(grid.subdivisions),
         record=record,
         report=report,
         energy_residual=energy_residual,
         wall_time=time.perf_counter() - start,
     )
-    return level, system
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -140,13 +139,13 @@ def run_study(config: StudyConfig) -> StudyResult:
     levels: list[LevelResult] = []
     for n in config.levels:
         grid = unit_grid(config.dim, n)
-        level, _ = run_level(
+        level = run_level(
             grid, material, config.solution,
             quad_points=config.quad_points, solver_tol=config.solver_tol,
         )
         if config.probe_infsup:
-            dofs = build_dof_map(grid)
-            if dofs.n_total <= config.probe_budget:
+            n_total = level.record.stress_dofs + level.record.disp_dofs
+            if n_total <= config.probe_budget:
                 beta = infsup_probe(grid, material, max_dofs=config.probe_budget)
                 alpha = kernel_ellipticity_probe(
                     grid, material, max_dofs=config.probe_budget
@@ -154,7 +153,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                 level = replace(level, beta_h=beta, alpha_kernel=alpha)
             else:
                 warnings.warn(
-                    f"skipping stability probes at N={n}: {dofs.n_total} unknowns "
+                    f"skipping stability probes at N={n}: {n_total} unknowns "
                     f"exceed the probe budget {config.probe_budget}",
                     stacklevel=2,
                 )

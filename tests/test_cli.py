@@ -127,11 +127,21 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_cli_study_past_direct_limit_exit_code(tmp_path, capsys):
-    # N=160 is past the direct size limit, so auto hands it to MINRES
+    # N=160 (206 k unknowns) is past the sizes the other tests solve
     out = tmp_path / "switch.csv"
     assert main(["--levels", "32,64,128,160", "--output", str(out)]) == 0
     assert "numerical failure" not in capsys.readouterr().err
     assert len(_read_csv(out)) == 1 + 4 + 1
+
+
+def test_cli_tight_tolerance_exit_code(tmp_path, capsys):
+    out = tmp_path / "tight.csv"
+    assert main(["--levels", "16,32,64", "--tol", "1e-13", "--output", str(out)]) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    header, *levels, _ = _read_csv(out)
+    col = header.index("solve_residual")
+    assert len(levels) == 3
+    assert max(float(row[col]) for row in levels) <= 1e-13
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -10,7 +10,6 @@ from elastmix.material import LameParams
 from elastmix.solver import (
     DIRECT_SIZE_LIMIT,
     ConvergenceError,
-    SingularSystemError,
     SolveReport,
     solve,
 )
@@ -99,14 +98,16 @@ def test_solution_invariant_under_permutation():
 
 def test_minres_agrees_with_direct():
     _, dofs, system, load = _assembled(n=2)
-    sigma_d, u_d, _ = solve(system, load, method="direct")
+    dense = np.linalg.solve(
+        system.full_matrix().toarray(),
+        np.concatenate([np.zeros(dofs.n_stress), load]),
+    )
     sigma_m, u_m, report = solve(system, load, tol=1e-9, method="minres")
     assert report.method == "minres"
     assert report.iterations > 0
     assert report.residual <= 1e-9
-    x_d = np.concatenate([sigma_d.coeffs, u_d.coeffs])
     x_m = np.concatenate([sigma_m.coeffs, u_m.coeffs])
-    assert np.linalg.norm(x_d - x_m) / np.linalg.norm(x_d) <= 1e-6
+    assert np.linalg.norm(dense - x_m) / np.linalg.norm(dense) <= 1e-6
 
 
 def test_unreachable_tolerance_reports_achieved_residual():
@@ -124,8 +125,11 @@ def test_singular_system_detected():
         dofs=system.dofs,
         material=system.material,
     )
-    with pytest.raises(SingularSystemError):
+    # with B = 0 no displacement can balance the load: the residual stays
+    # at the size of the load and is reported
+    with pytest.raises(ConvergenceError) as info:
         solve(broken, load)
+    assert info.value.residual == pytest.approx(1.0)
 
 
 def test_weak_form_consistent_with_pointwise_quadrature():
@@ -190,8 +194,9 @@ def test_input_validation():
         solve(system, load, tol=0.0)
     with pytest.raises(ValueError):
         solve(system, load[:-1])
-    with pytest.raises(ValueError):
-        solve(system, load, method="cg")
+    for method in ("cg", "direct"):
+        with pytest.raises(ValueError):
+            solve(system, load, method=method)
 
 
 def _minres_iterations(dim, n, lam=1.0):
@@ -224,11 +229,15 @@ def test_auto_minres_meets_contract_past_direct_limit():
     assert report.residual <= 1e-11
 
 
+def test_tight_tolerance_meets_contract():
+    # restarts that only continue from MINRES's own iterate stall at 2.7e-13 here
+    _, _, system, load = _assembled(n=64)
+    _, _, report = solve(system, load, tol=1e-13)
+    assert report.residual <= 1e-13
+
+
 def test_report_setup_time_and_restarts():
     _, dofs, system, load = _assembled(n=4)
-    _, _, direct = solve(system, load, method="direct")
-    assert 0 < direct.setup_time <= direct.wall_time
-    assert direct.restarts == 0
     _, _, minres = solve(system, load, method="minres")
     assert 0 < minres.setup_time <= minres.wall_time
     assert 0 <= minres.restarts < 8

@@ -199,7 +199,7 @@ def test_superclose_rate_exceeds_plain_rate():
 
     hs, plain, close = [], [], []
     for n in (4, 8, 16):
-        level, _ = run_level(unit_grid(2, n), MAT, "sine")
+        level = run_level(unit_grid(2, n), MAT, "sine")
         hs.append(level.record.h)
         plain.append(level.record.sigma_hdiv)
         close.append(level.record.super_sigma_hdiv)
