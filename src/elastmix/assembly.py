@@ -34,7 +34,7 @@ from .element import (
 )
 from .grid import FaceId, SubfaceId, TensorGrid, flat_strides
 from .material import LameParams
-from .quadrature import tensor_rule
+from .quadrature import element_blocks, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,16 @@ def build_dof_map(grid: TensorGrid) -> DofMap:
 def _scatter(
     local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
 ) -> sp.csr_matrix:
-    """Scatter one local matrix over per-element index arrays; duplicates sum."""
+    """Scatter one local matrix over per-element index arrays; duplicates sum.
+
+    The triplets carry the index type the CSR ends with (int32 while the
+    shape and triplet count fit), so scipy does not copy them to downcast.
+    """
     ne = rows.shape[0]
-    r = np.broadcast_to(rows[:, :, None], (ne,) + local.shape).ravel()
-    c = np.broadcast_to(cols[:, None, :], (ne,) + local.shape).ravel()
+    size = max(shape + (ne * local.size,))
+    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    r = np.broadcast_to(rows[:, :, None].astype(index), (ne,) + local.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :].astype(index), (ne,) + local.shape).ravel()
     data = np.broadcast_to(local[None, :, :], (ne,) + local.shape).ravel()
     return sp.coo_matrix((data, (r, c)), shape=shape).tocsr()
 
@@ -187,12 +193,12 @@ def assemble_load(
     """
     dim = grid.dim
     pts, w = tensor_rule(npts, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
-    fx = np.asarray(f(x.reshape(-1, dim))).reshape(x.shape)
     psi = eval_disp_basis(dim, pts)
-    local = grid.element_volume * np.einsum("eqi,bqi,q->eb", fx, psi, w)
     load = np.zeros(dofs.n_disp)
-    np.add.at(load, dofs.element_disp, local)
+    for block, x in element_blocks(grid, pts):
+        fx = np.asarray(f(x.reshape(-1, dim))).reshape(x.shape)
+        local = grid.element_volume * np.einsum("eqi,bqi,q->eb", fx, psi, w)
+        np.add.at(load, dofs.element_disp[block], local)
     return load
 
 

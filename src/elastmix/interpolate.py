@@ -22,8 +22,8 @@ import numpy as np
 
 from .assembly import DofMap
 from .element import eval_disp_basis, eval_stress_basis, eval_stress_basis_div
-from .grid import TensorGrid, multi_index_array
-from .quadrature import tensor_rule
+from .grid import TensorGrid
+from .quadrature import element_blocks, tensor_rule
 
 # Inverse of the unit-volume Gram [[1, 1/2], [1/2, 1/3]] of {1, xi}.
 _MOMENT_SOLVE = np.array([[4.0, -6.0], [-6.0, 12.0]])
@@ -44,17 +44,20 @@ class StressField:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
-    def eval_elements(self, xi: np.ndarray) -> np.ndarray:
-        """Tensor values at reference points on every element, (ne, m, dim, dim)."""
+    def eval_elements(self, xi: np.ndarray, elements: slice = slice(None)) -> np.ndarray:
+        """Tensor values at reference points on the elements, (ne, m, dim, dim).
+
+        ``elements`` selects a slice of the flat element order (default: all).
+        """
         basis = eval_stress_basis(self.dofs.grid.dim, xi)
-        local = self.coeffs[self.dofs.element_stress]
+        local = self.coeffs[self.dofs.element_stress[elements]]
         return np.einsum("el,lmij->emij", local, basis)
 
-    def div_elements(self, xi: np.ndarray) -> np.ndarray:
-        """Divergence at reference points on every element, (ne, m, dim)."""
+    def div_elements(self, xi: np.ndarray, elements: slice = slice(None)) -> np.ndarray:
+        """Divergence at reference points on the elements, (ne, m, dim)."""
         grid = self.dofs.grid
         div = eval_stress_basis_div(grid.dim, xi, grid.spacing)
-        local = self.coeffs[self.dofs.element_stress]
+        local = self.coeffs[self.dofs.element_stress[elements]]
         return np.einsum("el,lmi->emi", local, div)
 
     def eval_on_element(self, elem_multi, xi: np.ndarray) -> np.ndarray:
@@ -80,10 +83,13 @@ class DisplacementField:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
-    def eval_elements(self, xi: np.ndarray) -> np.ndarray:
-        """Vector values at reference points on every element, (ne, m, dim)."""
+    def eval_elements(self, xi: np.ndarray, elements: slice = slice(None)) -> np.ndarray:
+        """Vector values at reference points on the elements, (ne, m, dim).
+
+        ``elements`` selects a slice of the flat element order (default: all).
+        """
         basis = eval_disp_basis(self.dofs.grid.dim, xi)
-        local = self.coeffs[self.dofs.element_disp]
+        local = self.coeffs[self.dofs.element_disp[elements]]
         return np.einsum("el,lmi->emi", local, basis)
 
     def eval_on_element(self, elem_multi, xi: np.ndarray) -> np.ndarray:
@@ -106,47 +112,33 @@ def interp_stress(
     point values, so continuity is required, not just integrability.
     """
     dim = grid.dim
-    h = grid.spacing
     coeffs = np.zeros(dofs.n_stress)
+
+    def averages(dims, free, targets):
+        """Fill the entity averages of one lattice of entities.
+
+        ``free`` lists the axes the entities extend along; ``targets`` holds
+        (global offset, i, j) for each component averaged over them.
+        """
+        pts, w = tensor_rule(npts, len(free))
+        ref = np.zeros((pts.shape[0], dim))
+        ref[:, free] = pts
+        for block, x in element_blocks(grid, ref, dims):
+            vals = sigma(x.reshape(-1, dim)).reshape(x.shape[:2] + (dim, dim))
+            for start, i, j in targets:
+                coeffs[start + block.start : start + block.stop] = vals[:, :, i, j] @ w
 
     for i in range(dim):
         free = [k for k in range(dim) if k != i]
-        pts, w = tensor_rule(npts, dim - 1)
-        multis = multi_index_array(grid.face_dims(i))
-        x = np.empty((multis.shape[0], pts.shape[0], dim))
-        x[:, :, free] = (
-            grid.lo[free]
-            + multis[:, None, free] * h[free]
-            + pts[None, :, :] * h[free]
-        )
-        x[:, :, i] = (grid.lo[i] + multis[:, i] * h[i])[:, None]
-        vals = sigma(x.reshape(-1, dim)).reshape(x.shape[0], x.shape[1], dim, dim)
-        start = dofs.diag_face_offsets[i]
-        coeffs[start : start + multis.shape[0]] = vals[:, :, i, i] @ w
-
-    pts, w = tensor_rule(npts, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * h
-    vals = sigma(x.reshape(-1, dim)).reshape(x.shape[0], x.shape[1], dim, dim)
-    for i in range(dim):
-        start = dofs.diag_volume_offsets[i]
-        coeffs[start : start + grid.n_elements] = vals[:, :, i, i] @ w
-
+        averages(grid.face_dims(i), free, [(dofs.diag_face_offsets[i], i, i)])
+    averages(
+        grid.subdivisions,
+        list(range(dim)),
+        [(dofs.diag_volume_offsets[i], i, i) for i in range(dim)],
+    )
     for i, j in grid.axis_pairs():
         free = [k for k in range(dim) if k not in (i, j)]
-        pts, w = tensor_rule(npts, dim - 2)
-        multis = multi_index_array(grid.subface_dims(i, j))
-        x = np.empty((multis.shape[0], pts.shape[0], dim))
-        if free:
-            x[:, :, free] = (
-                grid.lo[free]
-                + multis[:, None, free] * h[free]
-                + pts[None, :, :] * h[free]
-            )
-        x[:, :, i] = (grid.lo[i] + multis[:, i] * h[i])[:, None]
-        x[:, :, j] = (grid.lo[j] + multis[:, j] * h[j])[:, None]
-        vals = sigma(x.reshape(-1, dim)).reshape(x.shape[0], x.shape[1], dim, dim)
-        start = dofs.shear_offsets[(i, j)]
-        coeffs[start : start + multis.shape[0]] = vals[:, :, i, j] @ w
+        averages(grid.subface_dims(i, j), free, [(dofs.shear_offsets[(i, j)], i, j)])
 
     return StressField(dofs, coeffs)
 
@@ -160,16 +152,14 @@ def project_displacement(
     """Elementwise L2 projection of a vector field onto the displacement space."""
     dim = grid.dim
     pts, w = tensor_rule(npts, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
-    vals = np.asarray(u(x.reshape(-1, dim))).reshape(x.shape)
-
     vol = grid.element_volume
-    m0 = vol * np.einsum("eqi,q->ei", vals, w)
-    m1 = vol * np.einsum("eqi,qi,q->ei", vals, pts, w)
-
     coeffs = np.zeros(dofs.n_disp)
-    local = np.empty((grid.n_elements, 2 * dim))
-    local[:, 0::2] = (_MOMENT_SOLVE[0, 0] * m0 + _MOMENT_SOLVE[0, 1] * m1) / vol
-    local[:, 1::2] = (_MOMENT_SOLVE[1, 0] * m0 + _MOMENT_SOLVE[1, 1] * m1) / vol
-    coeffs[dofs.element_disp] = local
+    for block, x in element_blocks(grid, pts):
+        vals = np.asarray(u(x.reshape(-1, dim))).reshape(x.shape)
+        m0 = vol * np.einsum("eqi,q->ei", vals, w)
+        m1 = vol * np.einsum("eqi,qi,q->ei", vals, pts, w)
+        local = np.empty((x.shape[0], 2 * dim))
+        local[:, 0::2] = (_MOMENT_SOLVE[0, 0] * m0 + _MOMENT_SOLVE[0, 1] * m1) / vol
+        local[:, 1::2] = (_MOMENT_SOLVE[1, 0] * m0 + _MOMENT_SOLVE[1, 1] * m1) / vol
+        coeffs[dofs.element_disp[block]] = local
     return DisplacementField(dofs, coeffs)

@@ -1,10 +1,14 @@
-"""Tensor-product Gauss-Legendre rules on the unit cube [0, 1]^d."""
+"""Tensor-product Gauss-Legendre rules on [0, 1]^d and the block walk over cells
+that every element-wise quadrature loop runs through."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
+
+from .grid import TensorGrid
 
 
 @lru_cache(maxsize=None)
@@ -44,3 +48,34 @@ def tensor_rule(npts: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     pts.setflags(write=False)
     wts.setflags(write=False)
     return pts, wts
+
+
+# Cells per block of the element-wise quadrature loops.  A block's
+# temporaries (points, field values, differences) then take a few MiB
+# whatever the mesh size, and a block is still large enough that the
+# vectorized evaluators spend their time on arithmetic, not call overhead.
+ELEMENT_BLOCK = 4096
+
+
+def element_blocks(
+    grid: TensorGrid, pts: np.ndarray, dims: tuple[int, ...] | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Walk the cells of a lattice in flat order, ELEMENT_BLOCK cells at a time.
+
+    The cells are the multi-indices m over ``dims`` (default: the grid's
+    elements), axis 0 fastest; cell m is the box with lower corner
+    lo + m * h and the grid's spacing h.  Face and subface families are such
+    lattices too, with reference points that are 0 along their fixed axes.
+    ``pts`` are reference points in [0, 1]^dim, shape (q, dim).  Yields the
+    slice of flat cell indices and the physical points of that block, shape
+    (block size, q, dim).
+    """
+    dims = grid.subdivisions if dims is None else tuple(dims)
+    lo, h = grid.lo, grid.spacing
+    total = int(np.prod(dims))
+    for start in range(0, total, ELEMENT_BLOCK):
+        block = slice(start, min(start + ELEMENT_BLOCK, total))
+        multi = np.stack(
+            np.unravel_index(np.arange(block.start, block.stop), dims, order="F"), axis=-1
+        )
+        yield block, (lo + multi * h)[:, None, :] + pts[None, :, :] * h

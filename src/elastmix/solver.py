@@ -93,9 +93,7 @@ def solve(
             report,
         )
 
-    x, residual, iterations, setup_time, restarts = _solve_minres(
-        system, system.full_matrix(), rhs, rhs_norm, tol
-    )
+    x, residual, iterations, setup_time, restarts = _solve_minres(system, rhs, rhs_norm, tol)
     if residual > tol:
         raise ConvergenceError(
             f"minres solve reached relative residual {residual:.3e} > tol {tol:.3e}",
@@ -111,17 +109,27 @@ def solve(
     )
 
 
-def _solve_minres(system, matrix, rhs, rhs_norm, tol):
+def _solve_minres(system, rhs, rhs_norm, tol):
     start = time.perf_counter()
     n_stress = system.dofs.n_stress
-    inv_m_diag = 1.0 / system.M.diagonal()
+    M, B, BT = system.M, system.B, system.B.T
+    inv_m_diag = 1.0 / M.diagonal()
     schur_inverse = SchurInverse(system.dofs.grid, system.material)
+
+    # [[M, B^T], [B, 0]] applied block by block, so no copy of the whole
+    # matrix is built next to M and B
+    def multiply(x):
+        x = np.ravel(x)
+        s, u = x[:n_stress], x[n_stress:]
+        return np.concatenate([M @ s + BT @ u, B @ s])
 
     def apply(r):
         r = np.ravel(r)
         return np.concatenate([inv_m_diag * r[:n_stress], schur_inverse(r[n_stress:])])
 
-    precond = spla.LinearOperator(matrix.shape, matvec=apply)
+    shape = (rhs.size, rhs.size)
+    matrix = spla.LinearOperator(shape, matvec=multiply, dtype=float)
+    precond = spla.LinearOperator(shape, matvec=apply, dtype=float)
     setup_time = time.perf_counter() - start
 
     counter = {"n": 0}

@@ -16,7 +16,7 @@ compliance form over the numerical null space of B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
 from .manufactured import ExactSolution
 from .material import LameParams
-from .quadrature import tensor_rule
+from .quadrature import element_blocks, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,6 @@ class ErrorRecord:
     super_sigma_hdiv: float | None = None
     super_u_l2: float | None = None
 
-    def merged(self, other: "ErrorRecord") -> "ErrorRecord":
-        """Fill this record's unset fields from another record of the same level."""
-        updates = {
-            name: getattr(other, name)
-            for name in (
-                "sigma_l2", "sigma_div", "sigma_hdiv", "u_l2",
-                "super_sigma_l2", "super_sigma_div", "super_sigma_hdiv", "super_u_l2",
-            )
-            if getattr(self, name) is None and getattr(other, name) is not None
-        }
-        return replace(self, **updates)
-
 
 def error_norms(
     grid: TensorGrid,
@@ -80,18 +68,19 @@ def error_norms(
         raise ValueError("fields do not live on the given grid")
     dim = grid.dim
     pts, w = tensor_rule(npts, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
-    flat = x.reshape(-1, dim)
     vol = grid.element_volume
-
-    sig_diff = exact.sigma(flat).reshape(x.shape[0], -1, dim, dim) - sigma_h.eval_elements(pts)
-    sigma_l2_sq = vol * float(np.einsum("eqij,eqij,q->", sig_diff, sig_diff, w))
-
-    div_diff = exact.f(flat).reshape(x.shape) - sigma_h.div_elements(pts)
-    sigma_div_sq = vol * float(np.einsum("eqi,eqi,q->", div_diff, div_diff, w))
-
-    u_diff = exact.u(flat).reshape(x.shape) - u_h.eval_elements(pts)
-    u_l2_sq = vol * float(np.einsum("eqi,eqi,q->", u_diff, u_diff, w))
+    sigma_l2_sq = sigma_div_sq = u_l2_sq = 0.0
+    for block, x in element_blocks(grid, pts):
+        flat = x.reshape(-1, dim)
+        sig_diff = exact.sigma(flat).reshape(x.shape + (dim,)) - sigma_h.eval_elements(pts, block)
+        sigma_l2_sq += float(np.einsum("eqij,eqij,q->", sig_diff, sig_diff, w))
+        div_diff = exact.f(flat).reshape(x.shape) - sigma_h.div_elements(pts, block)
+        sigma_div_sq += float(np.einsum("eqi,eqi,q->", div_diff, div_diff, w))
+        u_diff = exact.u(flat).reshape(x.shape) - u_h.eval_elements(pts, block)
+        u_l2_sq += float(np.einsum("eqi,eqi,q->", u_diff, u_diff, w))
+    sigma_l2_sq *= vol
+    sigma_div_sq *= vol
+    u_l2_sq *= vol
 
     return ErrorRecord(
         h=grid.max_spacing,

@@ -1,6 +1,19 @@
-"""Random polynomial tensor fields with analytic derivatives, used as oracles."""
+"""Random polynomial tensor fields with analytic derivatives, used as oracles,
+and the meshes that exercise partial element blocks."""
 
 import numpy as np
+
+from elastmix.grid import TensorGrid
+from elastmix.quadrature import ELEMENT_BLOCK
+
+
+def partial_block_grid(dim):
+    """Anisotropic box whose cell count (2D N=70, 3D N=17) ends in a partial block."""
+    n = {2: 70, 3: 17}[dim]
+    box = ((0.0, 1.0), (-0.5, 2.0), (0.25, 0.75))[:dim]
+    grid = TensorGrid(dim, box, (n,) * dim)
+    assert grid.n_elements > ELEMENT_BLOCK and grid.n_elements % ELEMENT_BLOCK
+    return grid
 
 
 class PolyTensorField:

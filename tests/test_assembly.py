@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.io import mmread
 
 from elastmix.assembly import (
@@ -9,12 +10,14 @@ from elastmix.assembly import (
     assemble_stress_gram,
     build_dof_map,
 )
-from elastmix.element import local_compliance_matrix, local_div_matrix
+from elastmix.element import eval_disp_basis, local_compliance_matrix, local_div_matrix
 from elastmix.grid import unit_grid
 from elastmix.interpolate import StressField, interp_stress
+from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from elastmix.verify import kernel_basis
+from poly_utils import partial_block_grid
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -227,6 +230,21 @@ def test_load_constant_force_single_element():
     assert np.allclose(load, [1.0, 0.5, 0.0, 0.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_load_matches_whole_array(dim):
+    grid = partial_block_grid(dim)
+    dofs = build_dof_map(grid)
+    f = sine_solution(dim, MAT).f
+    pts, w = tensor_rule(5, dim)
+    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    fx = f(x.reshape(-1, dim)).reshape(x.shape)
+    local = grid.element_volume * np.einsum("eqi,bqi,q->eb", fx, eval_disp_basis(dim, pts), w)
+    expected = np.zeros(dofs.n_disp)
+    expected[dofs.element_disp] = local
+    load = assemble_load(grid, f, dofs)
+    assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_load_consistent_with_divergence_of_discrete_field():
     # sigma = [[x1^2 + c, x1 x2], [x1 x2, x2^2 + c]] lies in the global stress
     # space and div sigma = (3 x1, 3 x2) lies in the displacement space, so
@@ -296,3 +314,23 @@ def test_disp_mass_block_diagonal():
         idx = dofs.element_disp[e]
         outside = np.setdiff1d(np.arange(dofs.n_disp), idx)
         assert not coupling[np.ix_(idx, outside)].any()
+
+
+@pytest.mark.parametrize("grid", [partial_block_grid(2), unit_grid(3, 6)], ids=["2d", "3d"])
+def test_int32_triplets_give_the_int64_matrices(grid):
+    dofs = build_dof_map(grid)
+    system = assemble(grid, MAT, dofs)
+    box = grid.element_box((0,) * grid.dim)
+    for matrix, local, rows in (
+        (system.M, local_compliance_matrix(box, MAT), dofs.element_stress),
+        (system.B, local_div_matrix(box), dofs.element_disp),
+    ):
+        triplets = (grid.n_elements,) + local.shape
+        r = np.broadcast_to(rows[:, :, None], triplets).astype(np.int64).ravel()
+        c = np.broadcast_to(dofs.element_stress[:, None, :], triplets).astype(np.int64).ravel()
+        data = np.broadcast_to(local, triplets).ravel()
+        expected = sp.coo_matrix((data, (r, c)), shape=matrix.shape).tocsr()
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.array_equal(matrix.data, expected.data)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from elastmix.element import (
     local_from_dofs,
     stress_dofs,
 )
-from elastmix.grid import unit_grid
+from elastmix.grid import multi_index_array, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
     StressField,
@@ -18,7 +20,7 @@ from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from elastmix.verify import error_norms, fit_rate
-from poly_utils import PolyTensorField, random_box
+from poly_utils import PolyTensorField, partial_block_grid, random_box
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -218,3 +220,72 @@ def test_field_coefficient_validation():
         StressField(dofs, np.zeros(dofs.n_stress + 1))
     with pytest.raises(ValueError):
         DisplacementField(dofs, np.zeros(3))
+
+
+def _whole_array_interp(grid, dofs, sigma, npts=5):
+    """interp_stress with every entity family evaluated in one array."""
+    dim, lo, h = grid.dim, grid.lo, grid.spacing
+    coeffs = np.zeros(dofs.n_stress)
+
+    def fill(dims, free, offset, i, j):
+        pts, w = tensor_rule(npts, len(free))
+        multis = multi_index_array(dims)
+        x = np.repeat((lo + multis * h)[:, None, :], pts.shape[0], axis=1)
+        x[:, :, free] += pts * h[free]
+        vals = sigma(x.reshape(-1, dim)).reshape(x.shape[:2] + (dim, dim))
+        coeffs[offset : offset + multis.shape[0]] = vals[:, :, i, j] @ w
+
+    for i in range(dim):
+        fill(grid.face_dims(i), [k for k in range(dim) if k != i], dofs.diag_face_offsets[i], i, i)
+        fill(grid.subdivisions, list(range(dim)), dofs.diag_volume_offsets[i], i, i)
+    for i, j in grid.axis_pairs():
+        free = [k for k in range(dim) if k not in (i, j)]
+        fill(grid.subface_dims(i, j), free, dofs.shear_offsets[(i, j)], i, j)
+    return coeffs
+
+
+def _whole_array_projection(grid, dofs, u, npts=5):
+    """project_displacement with all elements in one array and a 2x2 solve."""
+    dim = grid.dim
+    pts, w = tensor_rule(npts, dim)
+    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    vals = u(x.reshape(-1, dim)).reshape(x.shape)
+    moments = np.stack(
+        [np.einsum("eqi,q->ei", vals, w), np.einsum("eqi,qi,q->ei", vals, pts, w)], axis=-1
+    )
+    local = np.linalg.solve(np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]]), moments[..., None])
+    coeffs = np.zeros(dofs.n_disp)
+    coeffs[dofs.element_disp] = local.reshape(grid.n_elements, 2 * dim)
+    return coeffs
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_interpolation_matches_whole_array(dim):
+    grid = partial_block_grid(dim)
+    dofs = build_dof_map(grid)
+    exact = sine_solution(dim, MAT)
+    ref_sigma = _whole_array_interp(grid, dofs, exact.sigma)
+    ref_u = _whole_array_projection(grid, dofs, exact.u)
+    sigma = interp_stress(grid, dofs, exact.sigma).coeffs
+    u = project_displacement(grid, dofs, exact.u).coeffs
+    assert np.abs(sigma - ref_sigma).max() <= 1e-13 * np.abs(ref_sigma).max()
+    assert np.abs(u - ref_u).max() <= 1e-13 * np.abs(ref_u).max()
+
+
+def test_field_stage_memory_bounded_by_block():
+    # 65 536 elements: whole-mesh quadrature arrays of interp_stress and
+    # error_norms need about 200 MiB here; blocked, the peak above what is
+    # live before the calls is one block's temporaries plus the outputs
+    grid = unit_grid(2, 256)
+    dofs = build_dof_map(grid)
+    exact = sine_solution(2, MAT)
+    u_h = DisplacementField(dofs, np.zeros(dofs.n_disp))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        pi_sigma = interp_stress(grid, dofs, exact.sigma)
+        error_norms(grid, exact, pi_sigma, u_h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 64 * 2**20

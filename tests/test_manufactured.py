@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastmix.material import LameParams, apply_compliance
+from elastmix.material import LameParams, apply_compliance, apply_stiffness
 from elastmix.manufactured import (
     polynomial_solution,
     sine_solution,
@@ -92,6 +92,14 @@ def test_sigma_exactly_symmetric(factory):
     pts = np.random.default_rng(6).uniform(0, 1, size=(30, 3))
     sig = exact.sigma(pts)
     assert (sig == np.swapaxes(sig, -1, -2)).all()
+
+
+@pytest.mark.parametrize("factory", [sine_solution, polynomial_solution])
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_sigma_equals_stiffness_of_strain(factory, n):
+    exact = factory(n, MAT)
+    pts = np.random.default_rng(7).uniform(0, 1, size=(200, n))
+    assert np.array_equal(exact.sigma(pts), apply_stiffness(MAT, n, exact.strain(pts)))
 
 
 def test_unsupported_dimension_rejected():

@@ -244,3 +244,20 @@ def test_report_setup_time_and_restarts():
     # the two trailing fields default, so four-field constructions still work
     four = SolveReport("direct", 0.0, 0, 1.0)
     assert four == SolveReport("direct", 0.0, 0, 1.0, 0.0, 0)
+
+
+def test_solve_builds_no_full_matrix(monkeypatch):
+    # MINRES applies [[M, B^T], [B, 0]] block by block; the assembled copy is
+    # only for export and tests
+    _, _, system, load = _assembled(n=8)
+
+    def copy_not_allowed(self):
+        raise AssertionError("solve built the full block matrix")
+
+    monkeypatch.setattr(SaddleSystem, "full_matrix", copy_not_allowed)
+    sigma_h, u_h, report = solve(system, load)
+    residual = np.concatenate(
+        [system.M @ sigma_h.coeffs + system.B.T @ u_h.coeffs, system.B @ sigma_h.coeffs - load]
+    )
+    assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(load)
+    assert report.residual <= 1e-11

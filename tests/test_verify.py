@@ -14,6 +14,7 @@ from elastmix.interpolate import (
 )
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
+from elastmix.quadrature import tensor_rule
 from elastmix.verify import (
     error_norms,
     fit_rate,
@@ -21,6 +22,7 @@ from elastmix.verify import (
     kernel_ellipticity_probe,
     superclose_norms,
 )
+from poly_utils import partial_block_grid
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -109,6 +111,32 @@ def test_error_norms_zero_fields_give_exact_norms():
     assert rec.u_l2 == pytest.approx(np.sqrt(0.5), rel=1e-9)
     assert rec.sigma_l2 == pytest.approx(np.pi * np.sqrt(3.0) / 2.0, rel=1e-9)
     assert rec.sigma_div == pytest.approx(np.pi**2 * np.sqrt(5.0) / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_error_norms_match_whole_array(dim):
+    grid = partial_block_grid(dim)
+    dofs = build_dof_map(grid)
+    exact = sine_solution(dim, MAT)
+    rng = np.random.default_rng(dim)
+    sigma_h = StressField(dofs, rng.standard_normal(dofs.n_stress))
+    u_h = DisplacementField(dofs, rng.standard_normal(dofs.n_disp))
+    rec = error_norms(grid, exact, sigma_h, u_h)
+
+    pts, w = tensor_rule(5, dim)
+    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    flat = x.reshape(-1, dim)
+    sig = exact.sigma(flat).reshape(x.shape + (dim,)) - sigma_h.eval_elements(pts)
+    div = exact.f(flat).reshape(x.shape) - sigma_h.div_elements(pts)
+    u = exact.u(flat).reshape(x.shape) - u_h.eval_elements(pts)
+    vol = grid.element_volume
+    expected = {
+        "sigma_l2": np.sqrt(vol * np.einsum("eqij,eqij,q->", sig, sig, w)),
+        "sigma_div": np.sqrt(vol * np.einsum("eqi,eqi,q->", div, div, w)),
+        "u_l2": np.sqrt(vol * np.einsum("eqi,eqi,q->", u, u, w)),
+    }
+    for name, value in expected.items():
+        assert getattr(rec, name) == pytest.approx(value, rel=1e-13)
 
 
 def test_superclose_unit_volume_coefficient():
