@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also measure the inf-sup constant and kernel ellipticity per level",
     )
     parser.add_argument(
-        "--probe-budget", type=int, help="max unknowns for the dense probes"
+        "--probe-budget", type=int, help="max unknowns for the stability probes"
     )
     parser.add_argument(
         "--quad-points", type=int, help="quadrature points per axis (default 5)"

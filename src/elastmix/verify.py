@@ -7,11 +7,11 @@ solutions and avoids differentiating the stress.  Discrete-versus-discrete
 (superclose) norms are quadratic forms of coefficient differences in the
 local Gram matrices, hence carry no quadrature error at all.
 
-The stability probes are dense small-scale measurements: the inf-sup
+The stability probes are sparse shift-invert eigensolves: the inf-sup
 constant is the square root of the smallest eigenvalue of B S^-1 B^T against
 the displacement mass matrix, with S the H(div) Gram of the stress space,
 and the kernel ellipticity ratio is the smallest Rayleigh quotient of the
-compliance form over the numerical null space of B.
+compliance form over the kernel of B.
 """
 
 from __future__ import annotations
@@ -20,14 +20,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .assembly import (
-    assemble,
-    assemble_disp_mass,
-    assemble_stress_gram,
-    build_dof_map,
-)
+from .assembly import assemble, assemble_disp_mass, assemble_stress_gram, build_dof_map
 from .element import disp_mass, stress_divdiv_gram, stress_l2_gram
 from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
@@ -138,18 +134,36 @@ def fit_rate(hs: Sequence[float], errors: Sequence[float]) -> float:
     return float(slope)
 
 
-def _dense_stability_operators(grid: TensorGrid, material: LameParams, max_dofs: int):
+def _smallest_saddle_eigenvalue(
+    grid: TensorGrid, material: LameParams, max_dofs: int, on_stress: bool
+) -> float:
+    """Smallest lam of K x = lam D x, K = [[A, B^T], [B, 0]], D nonzero on one block.
+
+    Stress block: A = M, D = H(div) Gram S.  Displacement block: A = S, D =
+    displacement mass.  x -> +-D [K^-1 D x]_block has largest eigenvalue 1/lam
+    in the metric D; Lanczos from a seeded start repeats it to the last bit.
+    """
     dofs = build_dof_map(grid)
     if dofs.n_total > max_dofs:
-        raise ValueError(
-            f"probe needs a dense eigensolve; {dofs.n_total} unknowns exceed "
-            f"the budget of {max_dofs}"
-        )
+        raise ValueError(f"probe has {dofs.n_total} unknowns, over the budget of {max_dofs}")
     system = assemble(grid, material, dofs)
     g_l2, g_div = assemble_stress_gram(grid, dofs)
-    hdiv_gram = (g_l2 + g_div).toarray()
-    mass_v = assemble_disp_mass(grid, dofs).toarray()
-    return system.M.toarray(), system.B.toarray(), hdiv_gram, mass_v
+    if on_stress:
+        a, d, block, sign = system.M, g_l2 + g_div, slice(0, dofs.n_stress), 1.0
+    else:
+        d, block, sign = assemble_disp_mass(grid, dofs), slice(dofs.n_stress, None), -1.0
+        a = g_l2 + g_div
+    saddle = spla.splu(sp.bmat([[a, system.B.T], [system.B, None]], format="csc"))
+    rhs = np.zeros(dofs.n_total)
+
+    def apply(x):
+        rhs[block] = d @ x
+        return sign * (d @ saddle.solve(rhs)[block])
+
+    v0 = np.random.default_rng(0).standard_normal(d.shape[0])
+    op = spla.LinearOperator(d.shape, matvec=apply, dtype=float)
+    nu = spla.eigsh(op, k=1, M=d, which="LA", v0=v0, tol=1e-13, return_eigenvectors=False)
+    return float(1.0 / nu[0])
 
 
 def infsup_probe(grid: TensorGrid, material: LameParams, max_dofs: int = 3000) -> float:
@@ -158,19 +172,9 @@ def infsup_probe(grid: TensorGrid, material: LameParams, max_dofs: int = 3000) -
     For each displacement v the best stress gives sup_tau (div tau, v) /
     ||tau||_Hdiv = sqrt(v^T B S^-1 B^T v); minimizing over ||v||_0 = 1 is a
     generalized eigenvalue problem against the displacement mass matrix.
+    The displacement block of [[S, B^T], [B, 0]]^-1 is -(B S^-1 B^T)^-1.
     """
-    _, b, hdiv_gram, mass_v = _dense_stability_operators(grid, material, max_dofs)
-    schur = b @ scipy.linalg.solve(hdiv_gram, b.T, assume_a="pos")
-    eigs = scipy.linalg.eigh(0.5 * (schur + schur.T), mass_v, eigvals_only=True)
-    return float(np.sqrt(max(eigs[0], 0.0)))
-
-
-def kernel_basis(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of a dense matrix."""
-    _, svals, vt = scipy.linalg.svd(b, full_matrices=True)
-    tol = svals.max(initial=0.0) * max(b.shape) * np.finfo(float).eps
-    rank = int((svals > tol).sum())
-    return vt[rank:].T
+    return float(np.sqrt(_smallest_saddle_eigenvalue(grid, material, max_dofs, on_stress=False)))
 
 
 def kernel_ellipticity_probe(
@@ -181,12 +185,7 @@ def kernel_ellipticity_probe(
     On that kernel the divergence vanishes pointwise, so the H(div) norm in
     the denominator coincides with the L2 norm and the ratio is bounded below
     by the smallest eigenvalue of the compliance tensor, 1/(2 mu + n lam).
+    The stress block of [[M, B^T], [B, 0]]^-1 is Z (Z^T M Z)^-1 Z^T for any
+    kernel basis Z, so none is formed.
     """
-    m, b, hdiv_gram, _ = _dense_stability_operators(grid, material, max_dofs)
-    z = kernel_basis(b)
-    if z.shape[1] == 0:
-        raise ValueError("divergence operator has no kernel on this grid")
-    a_k = z.T @ m @ z
-    s_k = z.T @ hdiv_gram @ z
-    eigs = scipy.linalg.eigh(0.5 * (a_k + a_k.T), 0.5 * (s_k + s_k.T), eigvals_only=True)
-    return float(eigs[0])
+    return _smallest_saddle_eigenvalue(grid, material, max_dofs, on_stress=True)

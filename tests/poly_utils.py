@@ -1,8 +1,10 @@
 """Random polynomial tensor fields with analytic derivatives, used as oracles,
-and the meshes that exercise partial element blocks."""
+the meshes that exercise partial element blocks, and dense stability probes."""
 
 import numpy as np
+import scipy.linalg
 
+from elastmix.assembly import assemble, assemble_disp_mass, assemble_stress_gram, build_dof_map
 from elastmix.grid import TensorGrid
 from elastmix.quadrature import ELEMENT_BLOCK
 
@@ -72,3 +74,36 @@ def random_box(dim, rng, min_edge=0.2, max_edge=2.0):
     lo = rng.uniform(-1.0, 1.0, size=dim)
     edges = rng.uniform(min_edge, max_edge, size=dim)
     return lo, lo + edges
+
+
+def kernel_basis(b):
+    """Orthonormal basis of the numerical null space of a dense matrix."""
+    _, svals, vt = scipy.linalg.svd(b, full_matrices=True)
+    tol = svals.max(initial=0.0) * max(b.shape) * np.finfo(float).eps
+    rank = int((svals > tol).sum())
+    return vt[rank:].T
+
+
+def dense_stability_probes(grid, material):
+    """(beta_h, alpha_kernel) from dense eigensolves, as an oracle for the sparse probes.
+
+    beta_h^2 is the smallest eigenvalue of B S^-1 B^T against the displacement
+    mass, S the H(div) Gram; alpha_kernel is the smallest eigenvalue of the
+    compliance form against S on an SVD basis of the kernel of B.
+    """
+    dofs = build_dof_map(grid)
+    system = assemble(grid, material, dofs)
+    m, b = system.M.toarray(), system.B.toarray()
+    g_l2, g_div = assemble_stress_gram(grid, dofs)
+    hdiv_gram = (g_l2 + g_div).toarray()
+    mass_v = assemble_disp_mass(grid, dofs).toarray()
+
+    schur = b @ scipy.linalg.solve(hdiv_gram, b.T, assume_a="pos")
+    eigs = scipy.linalg.eigh(0.5 * (schur + schur.T), mass_v, eigvals_only=True)
+    beta = float(np.sqrt(max(eigs[0], 0.0)))
+
+    z = kernel_basis(b)
+    a_k = z.T @ m @ z
+    s_k = z.T @ hdiv_gram @ z
+    eigs = scipy.linalg.eigh(0.5 * (a_k + a_k.T), 0.5 * (s_k + s_k.T), eigvals_only=True)
+    return beta, float(eigs[0])

@@ -16,8 +16,7 @@ from elastmix.interpolate import StressField, interp_stress
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
-from elastmix.verify import kernel_basis
-from poly_utils import partial_block_grid
+from poly_utils import kernel_basis, partial_block_grid
 
 MAT = LameParams(mu=0.5, lam=1.0)
 

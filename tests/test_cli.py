@@ -46,6 +46,21 @@ def test_csv_bodies_byte_identical_excluding_wall_time(tmp_path):
     assert _strip_wall_time(_read_csv(out_a)) == _strip_wall_time(_read_csv(out_b))
 
 
+def test_probe_csv_bodies_byte_identical_excluding_wall_time(tmp_path):
+    # the probes' Lanczos start vector is seeded, so beta_h and alpha_kernel
+    # repeat to the last digit
+    out_a = tmp_path / "a.csv"
+    out_b = tmp_path / "b.csv"
+    for out in (out_a, out_b):
+        run_study(
+            StudyConfig(
+                dim=2, levels=(2, 4, 8), solution="sine", output=str(out),
+                probe_infsup=True,
+            )
+        )
+    assert _strip_wall_time(_read_csv(out_a)) == _strip_wall_time(_read_csv(out_b))
+
+
 def test_single_level_warns_and_skips_rates(tmp_path):
     out = tmp_path / "one.csv"
     with pytest.warns(UserWarning, match="need 3 for a rate fit"):

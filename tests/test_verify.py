@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elastmix.assembly import (
     assemble_disp_mass,
     assemble_stress_gram,
     build_dof_map,
 )
-from elastmix.grid import unit_grid
+from elastmix.grid import build_grid, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
     StressField,
@@ -22,7 +23,7 @@ from elastmix.verify import (
     kernel_ellipticity_probe,
     superclose_norms,
 )
-from poly_utils import partial_block_grid
+from poly_utils import dense_stability_probes, partial_block_grid
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -220,6 +221,50 @@ def test_probe_budget_enforced():
         infsup_probe(unit_grid(2, 32), MAT, max_dofs=3000)
     with pytest.raises(ValueError, match="budget"):
         kernel_ellipticity_probe(unit_grid(2, 32), MAT, max_dofs=100)
+
+
+ANISO_BOX = ((0.0, 1.0), (-0.5, 1.5), (0.2, 0.9), (0.0, 0.5))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e4])
+@pytest.mark.parametrize("dim,n", [(2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (4, 2)])
+def test_sparse_probes_match_dense_oracle(dim, n, lam):
+    grid = build_grid(dim, ANISO_BOX[:dim], [n] * dim)
+    mu = float(np.random.default_rng(10 * dim + n).uniform(0.3, 2.0))
+    material = LameParams(mu=mu, lam=lam)
+    beta, alpha = dense_stability_probes(grid, material)
+    assert infsup_probe(grid, material) == pytest.approx(beta, rel=1e-10)
+    assert kernel_ellipticity_probe(grid, material) == pytest.approx(alpha, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+def test_probes_uniform_in_lambda(dim, n):
+    grid = unit_grid(dim, n)
+    betas = []
+    for lam in (1.0, 1e4, 1e8):
+        material = LameParams(mu=0.7, lam=lam)
+        alpha = kernel_ellipticity_probe(grid, material)
+        assert alpha == pytest.approx(material.compliance_floor(dim), rel=1e-6)
+        betas.append(infsup_probe(grid, material))
+    # B, the Grams and the displacement mass do not depend on the material
+    assert betas[0] == betas[1] == betas[2]
+
+
+def test_probes_need_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.linalg, "svd", refuse)
+    grid = unit_grid(2, 12)
+    assert infsup_probe(grid, MAT) > 0.9
+    assert kernel_ellipticity_probe(grid, MAT) >= MAT.compliance_floor(2) - 1e-10
+
+
+def test_infsup_probe_past_default_budget():
+    assert build_dof_map(unit_grid(2, 32)).n_total == 9345
+    beta = infsup_probe(unit_grid(2, 32), MAT, max_dofs=10_000)
+    assert 0.9 <= beta <= 1.0
 
 
 def test_superclose_rate_exceeds_plain_rate():
