@@ -10,8 +10,13 @@ conforming.  Displacement unknowns live in their own block, two per element
 and component, and are never shared.
 
 All elements of a uniform grid are congruent, so the local matrices are
-computed once and scattered everywhere; duplicate triplets are summed by the
-sparse conversion, which is order independent.
+computed once and scattered everywhere.  The local matrices are exact
+products of 1D integrals with their structural zeros stored as exact 0.0,
+and only their nonzero entries are scattered, so each global matrix is
+stored on its exact sparsity pattern, not on every pair of unknowns that
+share a cell.  Duplicate triplets are summed by the sparse conversion, which
+is order independent.  The load is assigned cell by cell: displacement
+unknowns are never shared.
 """
 
 from __future__ import annotations
@@ -132,18 +137,26 @@ def build_dof_map(grid: TensorGrid) -> DofMap:
 def _scatter(
     local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
 ) -> sp.csr_matrix:
-    """Scatter one local matrix over per-element index arrays; duplicates sum.
+    """Scatter the nonzero entries of one local matrix over per-element index
+    arrays; duplicates sum, and sums that cancel to exactly 0.0 are not stored.
 
-    The triplets carry the index type the CSR ends with (int32 while the
-    shape and triplet count fit), so scipy does not copy them to downcast.
+    The local matrices hold their structural zeros as exact zeros, and the
+    div-div Gram also cancels exactly across cells: a face average of s_ii
+    meets a shear unknown of the pair (i, j) with opposite signs from the two
+    cells on either side of the face.  The triplets carry the index type the
+    CSR ends with (int32 while the shape and triplet count fit), so scipy does
+    not copy them to downcast.
     """
+    r_loc, c_loc = np.nonzero(local)
     ne = rows.shape[0]
-    size = max(shape + (ne * local.size,))
+    size = max(shape + (ne * r_loc.size,))
     index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    r = np.broadcast_to(rows[:, :, None].astype(index), (ne,) + local.shape).ravel()
-    c = np.broadcast_to(cols[:, None, :].astype(index), (ne,) + local.shape).ravel()
-    data = np.broadcast_to(local[None, :, :], (ne,) + local.shape).ravel()
-    return sp.coo_matrix((data, (r, c)), shape=shape).tocsr()
+    r = rows.astype(index)[:, r_loc].ravel()
+    c = cols.astype(index)[:, c_loc].ravel()
+    data = np.broadcast_to(local[r_loc, c_loc], (ne, r_loc.size)).ravel()
+    matrix = sp.coo_matrix((data, (r, c)), shape=shape).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,7 @@ def assemble_load(
     for block, x in element_blocks(grid, pts):
         fx = np.asarray(f(x.reshape(-1, dim))).reshape(x.shape)
         local = grid.element_volume * np.einsum("eqi,bqi,q->eb", fx, psi, w)
-        np.add.at(load, dofs.element_disp[block], local)
+        load[dofs.element_disp[block]] = local
     return load
 
 

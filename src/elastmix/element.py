@@ -30,19 +30,18 @@ space pointwise divergence free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .material import LameParams, apply_compliance
+from .material import LameParams
 from .quadrature import tensor_rule
 
-# Points per axis for local matrix assembly; integrands are at most degree 4
-# per axis (diagonal quadratic times quadratic), 3-point Gauss is exact to 5.
-ASSEMBLY_QPTS = 3
 # Points per axis for degree-of-freedom functionals of smooth fields.
 DOF_QPTS = 5
 
@@ -287,54 +286,127 @@ def local_from_dofs(coeffs: Sequence[float], box) -> LocalStressPolynomial:
 
 
 # -- local matrices -----------------------------------------------------------
+#
+# Every shape function is a product of 1D factors, one per axis, and so is
+# every component of its divergence and every displacement function.  An
+# entry of a local matrix is therefore the element volume times a short sum,
+# over the tensor entries or vector components two functions share, of
+# products of 1D integrals on [0, 1].  Those are exact rationals
+# (int t^k dt = 1/(k+1)), rounded once, so a structural zero -- the zero mean
+# of a face quadratic, a moment a derivative does not see, two different
+# components -- is an exact 0.0 for every box and material.
+
+_ONE = (1,)
+_T = (0, 1)
+# Integer monomial coefficients of the dual quadratics and the hats 1 - t, t.
+_QUADRATICS = tuple(tuple(int(c) for c in row) for row in _Q_DIAG)
+_HATS = ((1, -1), (0, 1))
+
+
+def _deriv(p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k * c for k, c in enumerate(p))[1:] or (0,)
+
+
+@lru_cache(maxsize=None)
+def _integral(p: tuple[int, ...], q: tuple[int, ...]) -> float:
+    """int_0^1 p(t) q(t) dt of two integer polynomials, exact up to one rounding."""
+    return float(
+        sum(Fraction(a * b, i + j + 1) for i, a in enumerate(p) for j, b in enumerate(q))
+    )
+
+
+def _factors(dim: int, polys: dict[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """One 1D factor per axis: ``polys`` on the axes it names, 1 on the others."""
+    return tuple(polys.get(k, _ONE) for k in range(dim))
+
+
+def _stress_terms(dim: int, h: np.ndarray):
+    """The shape functions as sums of products of 1D factors.
+
+    Returns three lists with one entry per shape function, each a list of
+    (key, scale, factors) terms: the tensor entries (key (i, j)), the trace
+    (key None) and the divergence components (key i, scale the 1/h of the
+    differentiated axis).
+    """
+    value, trace, div = [], [], []
+    for tag in stress_dof_tags(dim):
+        if tag.kind == "shear_corner":
+            i, j = tag.component
+            a, b = (_HATS[c] for c in CORNERS[tag.entity])
+            f = _factors(dim, {i: a, j: b})
+            value.append([((i, j), 1.0, f), ((j, i), 1.0, f)])
+            trace.append([])
+            div.append(
+                [
+                    (i, 1.0 / h[j], _factors(dim, {i: a, j: _deriv(b)})),
+                    (j, 1.0 / h[i], _factors(dim, {i: _deriv(a), j: b})),
+                ]
+            )
+        else:
+            i = tag.component[0]
+            q = _QUADRATICS[_diag_row(tag)]
+            f = _factors(dim, {i: q})
+            value.append([(tag.component, 1.0, f)])
+            trace.append([(None, 1.0, f)])
+            div.append([(i, 1.0 / h[i], _factors(dim, {i: _deriv(q)}))])
+    return value, trace, div
+
+
+def _disp_terms(dim: int):
+    return [[(c, 1.0, _factors(dim, {c: (_ONE, _T)[m]}))] for c, m in disp_dof_tags(dim)]
+
+
+def _inner(rows, cols) -> np.ndarray:
+    """Unit-volume inner products of two families of functions given as terms."""
+    out = np.zeros((len(rows), len(cols)))
+    for a, terms_a in enumerate(rows):
+        for b, terms_b in enumerate(cols):
+            out[a, b] = sum(
+                sa * sb * math.prod(map(_integral, fa, fb))
+                for ka, sa, fa in terms_a
+                for kb, sb, fb in terms_b
+                if ka == kb
+            )
+    return out
 
 
 def local_compliance_matrix(box, material: LameParams) -> np.ndarray:
-    """(A phi_a, phi_b) over the element; symmetric positive definite."""
+    """(A phi_a, phi_b) over the element; symmetric positive definite.
+
+    A s = (s - lam / (2 mu + n lam) tr(s) I) / (2 mu), so the matrix is the
+    Frobenius Gram minus a multiple of the Gram of the traces.
+    """
     lo, hi, h = box_arrays(box)
     dim = lo.size
-    pts, w = tensor_rule(ASSEMBLY_QPTS, dim)
-    basis = eval_stress_basis(dim, pts)
-    abasis = apply_compliance(material, dim, basis)
-    mat = float(np.prod(h)) * np.einsum("aqij,bqij,q->ab", abasis, basis, w)
-    return 0.5 * (mat + mat.T)
+    value, trace, _ = _stress_terms(dim, h)
+    coupling = material.lam / material.trace_factor(dim)
+    mat = _inner(value, value) - coupling * _inner(trace, trace)
+    return (float(np.prod(h)) / (2.0 * material.mu)) * mat
 
 
 def local_div_matrix(box) -> np.ndarray:
     """(div phi_a, psi_b) over the element, shape (2*dim, nfun); exact."""
     lo, hi, h = box_arrays(box)
-    dim = lo.size
-    pts, w = tensor_rule(ASSEMBLY_QPTS, dim)
-    div = eval_stress_basis_div(dim, pts, h)
-    psi = eval_disp_basis(dim, pts)
-    return float(np.prod(h)) * np.einsum("aqi,bqi,q->ba", div, psi, w)
+    _, _, div = _stress_terms(lo.size, h)
+    return float(np.prod(h)) * _inner(_disp_terms(lo.size), div)
 
 
 def stress_l2_gram(box) -> np.ndarray:
     """(phi_a, phi_b) Frobenius Gram of the stress basis; exact."""
     lo, hi, h = box_arrays(box)
-    dim = lo.size
-    pts, w = tensor_rule(ASSEMBLY_QPTS, dim)
-    basis = eval_stress_basis(dim, pts)
-    mat = float(np.prod(h)) * np.einsum("aqij,bqij,q->ab", basis, basis, w)
-    return 0.5 * (mat + mat.T)
+    value, _, _ = _stress_terms(lo.size, h)
+    return float(np.prod(h)) * _inner(value, value)
 
 
 def stress_divdiv_gram(box) -> np.ndarray:
     """(div phi_a, div phi_b) Gram of the stress basis; exact."""
     lo, hi, h = box_arrays(box)
-    dim = lo.size
-    pts, w = tensor_rule(ASSEMBLY_QPTS, dim)
-    div = eval_stress_basis_div(dim, pts, h)
-    mat = float(np.prod(h)) * np.einsum("aqi,bqi,q->ab", div, div, w)
-    return 0.5 * (mat + mat.T)
+    _, _, div = _stress_terms(lo.size, h)
+    return float(np.prod(h)) * _inner(div, div)
 
 
 def disp_mass(box) -> np.ndarray:
     """(psi_a, psi_b) Gram of the displacement basis; exact."""
     lo, hi, h = box_arrays(box)
-    dim = lo.size
-    pts, w = tensor_rule(ASSEMBLY_QPTS, dim)
-    psi = eval_disp_basis(dim, pts)
-    mat = float(np.prod(h)) * np.einsum("aqi,bqi,q->ab", psi, psi, w)
-    return 0.5 * (mat + mat.T)
+    psi = _disp_terms(lo.size)
+    return float(np.prod(h)) * _inner(psi, psi)

@@ -23,7 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble, assemble_disp_mass, assemble_stress_gram, build_dof_map
+from .assembly import (
+    DofMap,
+    assemble,
+    assemble_disp_mass,
+    assemble_stress_gram,
+    build_dof_map,
+)
 from .element import disp_mass, stress_divdiv_gram, stress_l2_gram
 from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
@@ -134,6 +140,29 @@ def fit_rate(hs: Sequence[float], errors: Sequence[float]) -> float:
     return float(slope)
 
 
+def _closure_saddle(a: sp.csr_matrix, b: sp.csr_matrix, dofs: DofMap) -> sp.csc_matrix:
+    """[[a, b^T], [b, 0]] stored on the element closure of its blocks.
+
+    splu orders the columns by COLAMD on the stored pattern.  On the exact
+    pattern of M, B and the Grams that order fills the LU far more than on
+    the closure pattern, where every pair of unknowns sharing a cell is
+    stored (inf-sup saddle matrix at 2D N=32: nnz(L+U) 5.78 M against
+    1.00 M).  So every closure position of the a, b and b^T blocks is
+    carried as an explicit zero; COO -> CSC sums duplicates and keeps zeros.
+    """
+    s, u = dofs.element_stress, dofs.element_disp + dofs.n_stress
+    k = sp.bmat([[a, b.T], [b, None]], format="coo")
+    rows, cols = [k.row], [k.col]
+    for r, c in ((s, s), (u, s), (s, u)):
+        pairs = (r.shape[0], r.shape[1], c.shape[1])
+        rows.append(np.broadcast_to(r[:, :, None], pairs).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], pairs).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    data = np.zeros(rows.size)
+    data[: k.nnz] = k.data
+    return sp.coo_matrix((data, (rows, cols)), shape=k.shape).tocsc()
+
+
 def _smallest_saddle_eigenvalue(
     grid: TensorGrid, material: LameParams, max_dofs: int, on_stress: bool
 ) -> float:
@@ -153,7 +182,7 @@ def _smallest_saddle_eigenvalue(
     else:
         d, block, sign = assemble_disp_mass(grid, dofs), slice(dofs.n_stress, None), -1.0
         a = g_l2 + g_div
-    saddle = spla.splu(sp.bmat([[a, system.B.T], [system.B, None]], format="csc"))
+    saddle = spla.splu(_closure_saddle(a, system.B, dofs))
     rhs = np.zeros(dofs.n_total)
 
     def apply(x):

@@ -1,12 +1,20 @@
 """Random polynomial tensor fields with analytic derivatives, used as oracles,
-the meshes that exercise partial element blocks, and dense stability probes."""
+the meshes that exercise partial element blocks, dense stability probes and
+the local matrices by Gauss quadrature."""
 
 import numpy as np
 import scipy.linalg
 
 from elastmix.assembly import assemble, assemble_disp_mass, assemble_stress_gram, build_dof_map
+from elastmix.element import (
+    box_arrays,
+    eval_disp_basis,
+    eval_stress_basis,
+    eval_stress_basis_div,
+)
 from elastmix.grid import TensorGrid
-from elastmix.quadrature import ELEMENT_BLOCK
+from elastmix.material import apply_compliance
+from elastmix.quadrature import ELEMENT_BLOCK, tensor_rule
 
 
 def partial_block_grid(dim):
@@ -107,3 +115,52 @@ def dense_stability_probes(grid, material):
     s_k = z.T @ hdiv_gram @ z
     eigs = scipy.linalg.eigh(0.5 * (a_k + a_k.T), 0.5 * (s_k + s_k.T), eigvals_only=True)
     return beta, float(eigs[0])
+
+
+# -- local matrices by quadrature ---------------------------------------------
+# Integrands are at most degree 4 per axis (a diagonal quadratic times a
+# quadratic), so 3-point Gauss is exact up to rounding: structural zeros come
+# out as round-off of about 1e-18, not as 0.0.
+
+QUADRATURE_QPTS = 3
+
+
+def _quadrature(box):
+    lo, _, h = box_arrays(box)
+    pts, w = tensor_rule(QUADRATURE_QPTS, lo.size)
+    return lo.size, h, pts, float(np.prod(h)) * w
+
+
+def _symmetric(mat):
+    return 0.5 * (mat + mat.T)
+
+
+def quadrature_compliance_matrix(box, material):
+    dim, _, pts, w = _quadrature(box)
+    basis = eval_stress_basis(dim, pts)
+    abasis = apply_compliance(material, dim, basis)
+    return _symmetric(np.einsum("aqij,bqij,q->ab", abasis, basis, w))
+
+
+def quadrature_div_matrix(box):
+    dim, h, pts, w = _quadrature(box)
+    div = eval_stress_basis_div(dim, pts, h)
+    return np.einsum("aqi,bqi,q->ba", div, eval_disp_basis(dim, pts), w)
+
+
+def quadrature_l2_gram(box):
+    dim, _, pts, w = _quadrature(box)
+    basis = eval_stress_basis(dim, pts)
+    return _symmetric(np.einsum("aqij,bqij,q->ab", basis, basis, w))
+
+
+def quadrature_divdiv_gram(box):
+    dim, h, pts, w = _quadrature(box)
+    div = eval_stress_basis_div(dim, pts, h)
+    return _symmetric(np.einsum("aqi,bqi,q->ab", div, div, w))
+
+
+def quadrature_disp_mass(box):
+    dim, _, pts, w = _quadrature(box)
+    psi = eval_disp_basis(dim, pts)
+    return _symmetric(np.einsum("aqi,bqi,q->ab", psi, psi, w))

@@ -8,13 +8,21 @@ from elastmix.element import (
     local_div_matrix,
     local_from_dofs,
     n_stress_dofs,
+    stress_divdiv_gram,
     stress_dof_tags,
     stress_dofs,
     stress_l2_gram,
 )
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
-from poly_utils import random_box
+from poly_utils import (
+    quadrature_compliance_matrix,
+    quadrature_disp_mass,
+    quadrature_div_matrix,
+    quadrature_divdiv_gram,
+    quadrature_l2_gram,
+    random_box,
+)
 
 UNIT_SQUARE = (np.zeros(2), np.ones(2))
 
@@ -233,3 +241,27 @@ def test_divergence_lands_in_displacement_space(dim):
 def test_displacement_basis_moments():
     psi = eval_disp_basis(2, np.array([[0.25, 0.75]]))
     assert np.allclose(psi[:, 0, :], [[1, 0], [0.25, 0], [0, 1], [0, 0.75]])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_local_matrices_exact_zeros_match_quadrature(dim):
+    # on random boxes and materials, the exact local matrices are zero exactly
+    # where the Gauss oracle holds only round-off, and agree with it elsewhere
+    # up to that round-off, which scales with the largest entry
+    rng = np.random.default_rng(40 + dim)
+    for lam in (0.0, 1.0, 1e4, 1e8):
+        box = random_box(dim, rng)
+        material = LameParams(rng.uniform(0.2, 2.0), lam)
+        pairs = [
+            (local_compliance_matrix(box, material), quadrature_compliance_matrix(box, material)),
+            (local_div_matrix(box), quadrature_div_matrix(box)),
+            (stress_l2_gram(box), quadrature_l2_gram(box)),
+            (stress_divdiv_gram(box), quadrature_divdiv_gram(box)),
+            (disp_mass(box), quadrature_disp_mass(box)),
+        ]
+        for exact, oracle in pairs:
+            significant = np.abs(oracle) > 1e-12 * np.abs(oracle).max()
+            assert np.array_equal(exact != 0.0, significant)
+            assert np.abs(exact - oracle).max() <= 1e-14 * np.abs(oracle).max()
+            if exact.shape[0] == exact.shape[1]:
+                assert np.array_equal(exact, exact.T)
