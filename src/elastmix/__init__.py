@@ -8,15 +8,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "TensorGrid": "grid",
-    "FaceId": "grid",
-    "SubfaceId": "grid",
     "build_grid": "grid",
     "unit_grid": "grid",
     "LameParams": "material",
     "apply_compliance": "material",
     "apply_stiffness": "material",
-    "stress_dofs": "element",
-    "local_from_dofs": "element",
     "local_compliance_matrix": "element",
     "local_div_matrix": "element",
     "DofMap": "assembly",

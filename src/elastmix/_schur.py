@@ -14,7 +14,9 @@ divergence in component c is a moment along axis c times a difference
 along axis j.  diag(M) factorizes the same way, because the number of
 elements sharing a stress entity is a product of per-axis multiplicities
 (1 on the boundary, 2 inside).  Only the coupling of different components
-through the shear unknowns is dropped.
+through the shear unknowns is dropped.  The 1D integrals behind A_c and C_c
+are exact integrals of the element's integer factor polynomials, the same
+ones the element table and the local matrices are built from.
 
 The inverse uses fast diagonalization (Lynch, Rice and Thomas, Numer. Math.
 1964).  A_c is SPD but C_c is only semidefinite, so the pair is diagonalized as
@@ -32,17 +34,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import eigh
 
+from .element import _HATS, _ONE, _QUADRATICS, _T, _deriv, _integral
 from .grid import TensorGrid
 from .material import LameParams, apply_compliance
 
-# Reference-interval integrals behind the 1D factors, t in [0, 1].
-# Derivatives of the dual quadratics (face 0, face 1, volume) against the
-# displacement moments (1, t), and the squared L2 norms of the quadratics.
-_DQ_MOMENTS = np.array([[-1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
-_Q_SQ = np.array([2.0 / 15.0, 2.0 / 15.0, 6.0 / 5.0])
-# Linear hats (node 0, node 1) against the moments (1, t), and their squared norm.
-_HAT_MOMENTS = np.array([[0.5, 0.5], [1.0 / 6.0, 1.0 / 3.0]])
-_HAT_SQ = 1.0 / 3.0
+# Reference-interval integrals behind the 1D factors, t in [0, 1]: the
+# derivatives of the dual quadratics (face 0, face 1, volume) and the hats
+# (node 0, node 1) against the displacement moments (1, t), and the squared
+# L2 norms of the quadratics and of a hat.
+_DQUAD_MOMENTS = np.array(
+    [[_integral(_deriv(q), m) for q in _QUADRATICS] for m in (_ONE, _T)]
+)
+_QUAD_L2SQ = [_integral(q, q) for q in _QUADRATICS]
+_HAT_MOMENTS = np.array([[_integral(hat, m) for hat in _HATS] for m in (_ONE, _T)])
+_HAT_L2SQ = _integral(_HATS[0], _HATS[0])
 
 
 def _node_weights(n: int) -> np.ndarray:
@@ -80,13 +85,13 @@ def component_factors(
 
     n = grid.subdivisions[c]
     w = _node_weights(n)
-    faces = _element_by_node(_DQ_MOMENTS[:, :2], n)
-    volumes = np.kron(np.eye(n), _DQ_MOMENTS[:, 2:])
+    faces = _element_by_node(_DQUAD_MOMENTS[:, :2], n)
+    volumes = np.kron(np.eye(n), _DQUAD_MOMENTS[:, 2:])
     A = (vol / (a_diag * h[c] ** 2)) * (
-        (faces / (_Q_SQ[0] * w)) @ faces.T + volumes @ volumes.T / _Q_SQ[2]
+        (faces / (_QUAD_L2SQ[0] * w)) @ faces.T + volumes @ volumes.T / _QUAD_L2SQ[2]
     )
     hats = _element_by_node(_HAT_MOMENTS, n)
-    C = (vol / (a_shear * _HAT_SQ**2)) * (hats / w) @ hats.T
+    C = (vol / (a_shear * _HAT_L2SQ**2)) * (hats / w) @ hats.T
 
     L = {}
     for j in range(dim):

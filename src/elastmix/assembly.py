@@ -4,8 +4,11 @@ Stress degrees of freedom are numbered family by family: for each axis i the
 face averages of the i-th diagonal component (one per grid plane position,
 shared by the two elements meeting there), then its per-element volume
 averages; after all axes come the subface averages of each off-diagonal pair
-(one per (n-2)-face, shared by up to four elements).  Sharing a single global
-coefficient per entity is exactly what makes the broken space H(div)
+(one per (n-2)-face, shared by up to four elements).  That is the order in
+which ``element.element_table`` first names each family; the global index of
+a local DOF on a cell is its family's start plus the flat lattice position of
+the cell's multi-index shifted by the table's entity offset.  Sharing a single
+global coefficient per entity is exactly what makes the broken space H(div)
 conforming.  Displacement unknowns live in their own block, two per element
 and component, and are never shared.
 
@@ -21,100 +24,63 @@ unknowns are never shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .element import (
-    CORNERS,
     disp_mass,
+    element_table,
     eval_disp_basis,
     local_compliance_matrix,
     local_div_matrix,
     stress_divdiv_gram,
     stress_l2_gram,
-    stress_dof_tags,
 )
-from .grid import FaceId, SubfaceId, TensorGrid, flat_strides
+from .grid import TensorGrid, flat_strides
 from .material import LameParams
 from .quadrature import element_blocks, tensor_rule
 
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global numbering of stress and displacement unknowns on a grid."""
+    """Global numbering of stress and displacement unknowns on a grid.
+
+    ``families`` lists the stress families in global order as (tensor entry,
+    nodal, first global index): one unknown per point of the lattice with
+    N_k + nodal[k] points along axis k, numbered with axis 0 fastest.
+    """
 
     grid: TensorGrid
     n_stress: int
     n_disp: int
     element_stress: np.ndarray  # (n_elements, 2*dim**2 + dim) global stress indices
     element_disp: np.ndarray  # (n_elements, 2*dim) global displacement indices
-    diag_face_offsets: tuple[int, ...]
-    diag_volume_offsets: tuple[int, ...]
-    shear_offsets: dict[tuple[int, int], int] = field(repr=False)
+    families: tuple[tuple[tuple[int, int], tuple[int, ...], int], ...]
 
     @property
     def n_total(self) -> int:
         return self.n_stress + self.n_disp
-
-    def diag_face_index(self, face: FaceId) -> int:
-        """Global index of the diagonal-component average on an (n-1)-face."""
-        return self.diag_face_offsets[face.axis] + self.grid.face_flat(face)
-
-    def diag_volume_index(self, axis: int, elem_multi: Sequence[int]) -> int:
-        self.grid._check_axis(axis)
-        return self.diag_volume_offsets[axis] + self.grid.element_flat(elem_multi)
-
-    def shear_index(self, sub: SubfaceId) -> int:
-        """Global index of the off-diagonal average on an (n-2)-face."""
-        return self.shear_offsets[sub.axes] + self.grid.subface_flat(sub)
-
-    def disp_index(self, elem_multi: Sequence[int], component: int, moment: int) -> int:
-        dim = self.grid.dim
-        if not (0 <= component < dim and moment in (0, 1)):
-            raise ValueError(f"invalid displacement dof ({component}, {moment})")
-        return self.grid.element_flat(elem_multi) * 2 * dim + 2 * component + moment
 
 
 def build_dof_map(grid: TensorGrid) -> DofMap:
     dim = grid.dim
     elems = grid.element_multi_array()
     ne = elems.shape[0]
+    subs = np.asarray(grid.subdivisions)
 
-    diag_face_offsets = []
-    diag_volume_offsets = []
-    offset = 0
-    for i in range(dim):
-        diag_face_offsets.append(offset)
-        offset += grid.n_faces(i)
-        diag_volume_offsets.append(offset)
-        offset += ne
-    shear_offsets: dict[tuple[int, int], int] = {}
-    for i, j in grid.axis_pairs():
-        shear_offsets[(i, j)] = offset
-        offset += grid.n_subfaces(i, j)
-    n_stress = offset
-
+    starts: dict[tuple, int] = {}
+    n_stress = 0
     columns = []
-    for tag in stress_dof_tags(dim):
-        if tag.kind == "diag_face":
-            i = tag.component[0]
-            m = elems.copy()
-            m[:, i] += tag.entity
-            col = diag_face_offsets[i] + m @ flat_strides(grid.face_dims(i))
-        elif tag.kind == "diag_volume":
-            i = tag.component[0]
-            col = diag_volume_offsets[i] + np.arange(ne, dtype=np.int64)
-        else:
-            i, j = tag.component
-            ci, cj = CORNERS[tag.entity]
-            m = elems.copy()
-            m[:, i] += ci
-            m[:, j] += cj
-            col = shear_offsets[(i, j)] + m @ flat_strides(grid.subface_dims(i, j))
-        columns.append(col)
+    for dof in element_table(dim):
+        dims = subs + dof.nodal
+        family = (dof.entry, dof.nodal)
+        if family not in starts:
+            starts[family] = n_stress
+            n_stress += int(np.prod(dims))
+        columns.append(starts[family] + (elems + dof.offset) @ flat_strides(dims))
     element_stress = np.stack(columns, axis=1)
 
     base = np.arange(ne, dtype=np.int64)[:, None] * (2 * dim)
@@ -128,9 +94,7 @@ def build_dof_map(grid: TensorGrid) -> DofMap:
         n_disp=2 * dim * ne,
         element_stress=element_stress,
         element_disp=element_disp,
-        diag_face_offsets=tuple(diag_face_offsets),
-        diag_volume_offsets=tuple(diag_volume_offsets),
-        shear_offsets=shear_offsets,
+        families=tuple((entry, nodal, start) for (entry, nodal), start in starts.items()),
     )
 
 
@@ -171,15 +135,6 @@ class SaddleSystem:
     @property
     def n_total(self) -> int:
         return self.dofs.n_total
-
-    def full_matrix(self) -> sp.csr_matrix:
-        return sp.bmat([[self.M, self.B.T], [self.B, None]], format="csr")
-
-    def export_matrix_market(self, path) -> None:
-        """Write the full block matrix in Matrix Market coordinate format."""
-        from scipy.io import mmwrite
-
-        mmwrite(str(path), self.full_matrix().tocoo())
 
 
 def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap | None = None) -> SaddleSystem:

@@ -1,4 +1,4 @@
-"""Reference-element bases and local matrices for the stress/displacement pair.
+"""The element table, reference-element bases and local matrices.
 
 On an element K the discrete spaces are
 
@@ -13,13 +13,19 @@ perpendicular to the (x_i, x_j) plane (point values at the vertices in 2D).
 Shape functions here are dual to those functionals in scaled coordinates
 xi = (x - lo) / h, so gluing elements is pure coefficient sharing.
 
-Dual quadratics on [0, 1] (face at 0, face at 1, volume average):
+Every shape function is a product of 1D factors with integer monomial
+coefficients, one per axis.  A diagonal entry carries a dual quadratic on
+[0, 1] along its own axis (face at 0, face at 1, volume average),
 
     q0 = 1 - 4 xi + 3 xi^2,   q1 = -2 xi + 3 xi^2,   qv = 6 xi - 6 xi^2,
 
-and the off-diagonal corner functions are the bilinear nodal basis on the
-unit square in (xi_i, xi_j), numbered counterclockwise from the origin:
-corner 0 -> (0,0), 1 -> (1,0), 2 -> (1,1), 3 -> (0,1).
+and a shear entry carries the hats 1 - xi and xi along its two axes, one
+per corner of the unit square in (xi_i, xi_j), counterclockwise from the
+origin.  ``element_table`` lists, for each local stress DOF, its tensor
+entry, its factor on each axis and where its entity sits on the cell; the
+bases, the local matrices, the DOF map and the Schur factors all read it.
+Local displacement DOF b is component b // 2 times the moment xi^(b % 2) of
+the component's own axis.
 
 The divergence of every shape function lands in the displacement space:
 d(q)/dx_i is linear in x_i, and for a corner function f(xi_i, xi_j) the
@@ -31,131 +37,106 @@ space pointwise divergence free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .material import LameParams
-from .quadrature import tensor_rule
 
-# Points per axis for degree-of-freedom functionals of smooth fields.
-DOF_QPTS = 5
-
-# Monomial coefficients [1, xi, xi^2] of the dual quadratics (q0, q1, qv).
-_Q_DIAG = np.array(
-    [
-        [1.0, -4.0, 3.0],
-        [0.0, -2.0, 3.0],
-        [0.0, 6.0, -6.0],
-    ]
-)
-
-# Corner coordinates of the bilinear nodal functions, counterclockwise.
-CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+_ONE = (1,)
+_T = (0, 1)
+# Integer monomial coefficients of the dual quadratics (q0, q1, qv) and of
+# the hats 1 - t, t.
+_QUADRATICS = ((1, -4, 3), (0, -2, 3), (0, 6, -6))
+_HATS = ((1, -1), (0, 1))
 
 
-class StressDof(NamedTuple):
-    """Tag of one local stress degree of freedom.
+class LocalDof(NamedTuple):
+    """One local stress degree of freedom and its shape function.
 
-    kind is "diag_face", "diag_volume" or "shear_corner"; component is (i, i)
-    or (i, j) with i < j; entity is the face side (0 lower, 1 upper), 0 for
-    the volume, or the corner number 0..3.
+    The shape function is the product over the axes k of ``factors[k]`` at
+    xi_k, placed in the tensor entries (i, j) and (j, i) of ``entry``.  Its
+    entity lies on the grid plane ``offset[k]`` of the cell (0 lower, 1
+    upper) along the axes with ``nodal[k]`` = 1 and spans the cell along the
+    others; cells sharing that entity share the coefficient.
     """
 
-    kind: str
-    component: tuple[int, int]
-    entity: int
+    entry: tuple[int, int]
+    factors: tuple[tuple[int, ...], ...]
+    offset: tuple[int, ...]
+    nodal: tuple[int, ...]
 
 
-class DispDof(NamedTuple):
-    """Tag of one local displacement degree of freedom: component and moment.
-
-    moment 0 is the constant, moment 1 the linear term in the component's axis.
-    """
-
-    component: int
-    moment: int
+def _per_axis(dim: int, values: dict, default):
+    return tuple(values.get(k, default) for k in range(dim))
 
 
 @lru_cache(maxsize=None)
-def stress_dof_tags(dim: int) -> tuple[StressDof, ...]:
-    tags: list[StressDof] = []
+def element_table(dim: int) -> tuple[LocalDof, ...]:
+    """The 2 dim^2 + dim local stress DOFs in local order: per axis i the
+    faces at xi_i = 0 and 1 and the volume of s_ii, then per pair i < j the
+    four corners of s_ij counterclockwise."""
+
+    def dof(entry, polys, offset, nodal):
+        return LocalDof(
+            entry, _per_axis(dim, polys, _ONE), _per_axis(dim, offset, 0), _per_axis(dim, nodal, 0)
+        )
+
+    table = []
     for i in range(dim):
-        tags.append(StressDof("diag_face", (i, i), 0))
-        tags.append(StressDof("diag_face", (i, i), 1))
-        tags.append(StressDof("diag_volume", (i, i), 0))
+        table += [dof((i, i), {i: _QUADRATICS[side]}, {i: side}, {i: 1}) for side in (0, 1)]
+        table.append(dof((i, i), {i: _QUADRATICS[2]}, {}, {}))
     for i, j in combinations(range(dim), 2):
-        for k in range(4):
-            tags.append(StressDof("shear_corner", (i, j), k))
-    return tuple(tags)
+        table += [
+            dof((i, j), {i: _HATS[a], j: _HATS[b]}, {i: a, j: b}, {i: 1, j: 1})
+            for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))
+        ]
+    return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def disp_dof_tags(dim: int) -> tuple[DispDof, ...]:
-    return tuple(DispDof(i, m) for i in range(dim) for m in range(2))
+def _deriv(p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k * c for k, c in enumerate(p))[1:] or (0,)
 
 
-def n_stress_dofs(dim: int) -> int:
-    """2 dim^2 + dim: three per diagonal component, four per off-diagonal pair."""
-    return 2 * dim * dim + dim
+def _derived(factors: tuple[tuple[int, ...], ...], axis: int) -> tuple[tuple[int, ...], ...]:
+    """The factors with the one on ``axis`` differentiated."""
+    return tuple(_deriv(p) if k == axis else p for k, p in enumerate(factors))
 
 
-def n_disp_dofs(dim: int) -> int:
-    return 2 * dim
-
-
-# -- scalar building blocks ---------------------------------------------------
-
-
-def _diag_row(tag: StressDof) -> int:
-    if tag.kind == "diag_face":
-        return tag.entity
-    return 2
-
-
-def _p2_value(row: int, t: np.ndarray) -> np.ndarray:
-    c = _Q_DIAG[row]
-    return c[0] + t * (c[1] + t * c[2])
-
-
-def _p2_deriv(row: int, t: np.ndarray) -> np.ndarray:
-    c = _Q_DIAG[row]
-    return c[1] + 2.0 * c[2] * t
-
-
-def _corner_value(k: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    a, b = CORNERS[k]
-    return (s if a else 1.0 - s) * (t if b else 1.0 - t)
-
-
-def _corner_grad(k: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b = CORNERS[k]
-    ds = (1.0 if a else -1.0) * (t if b else 1.0 - t)
-    dt = (s if a else 1.0 - s) * (1.0 if b else -1.0)
-    return ds, dt
+def _entries(entry: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The tensor entries (r, s) a shape function of ``entry`` fills.  Each
+    adds the derivative along x_s to component r of the divergence."""
+    i, j = entry
+    return ((i, j), (j, i)) if i != j else ((i, i),)
 
 
 # -- basis evaluation ---------------------------------------------------------
 
 
+def _eval_factors(factors: tuple[tuple[int, ...], ...], xi: np.ndarray):
+    """Product over the axes of the 1D factors at ``xi``, each by Horner."""
+    value = 1
+    for k, p in enumerate(factors):
+        if p != _ONE:
+            f = p[-1]
+            for c in p[-2::-1]:
+                f = f * xi[:, k] + c
+            value = value * f
+    return value
+
+
 def eval_stress_basis(dim: int, xi: np.ndarray) -> np.ndarray:
     """Shape-function tensors at reference points, shape (nfun, npts, dim, dim)."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    tags = stress_dof_tags(dim)
-    out = np.zeros((len(tags), xi.shape[0], dim, dim))
-    for a, tag in enumerate(tags):
-        if tag.kind == "shear_corner":
-            i, j = tag.component
-            vals = _corner_value(tag.entity, xi[:, i], xi[:, j])
-            out[a, :, i, j] = vals
-            out[a, :, j, i] = vals
-        else:
-            i = tag.component[0]
-            out[a, :, i, i] = _p2_value(_diag_row(tag), xi[:, i])
+    table = element_table(dim)
+    out = np.zeros((len(table), xi.shape[0], dim, dim))
+    for a, dof in enumerate(table):
+        value = _eval_factors(dof.factors, xi)
+        for r, s in _entries(dof.entry):
+            out[a, :, r, s] = value
     return out
 
 
@@ -167,27 +148,21 @@ def eval_stress_basis_div(dim: int, xi: np.ndarray, spacing: Sequence[float]) ->
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     h = np.asarray(spacing, dtype=float)
-    tags = stress_dof_tags(dim)
-    out = np.zeros((len(tags), xi.shape[0], dim))
-    for a, tag in enumerate(tags):
-        if tag.kind == "shear_corner":
-            i, j = tag.component
-            ds, dt = _corner_grad(tag.entity, xi[:, i], xi[:, j])
-            out[a, :, i] = dt / h[j]
-            out[a, :, j] = ds / h[i]
-        else:
-            i = tag.component[0]
-            out[a, :, i] = _p2_deriv(_diag_row(tag), xi[:, i]) / h[i]
+    table = element_table(dim)
+    out = np.zeros((len(table), xi.shape[0], dim))
+    for a, dof in enumerate(table):
+        for r, s in _entries(dof.entry):
+            out[a, :, r] = _eval_factors(_derived(dof.factors, s), xi) / h[s]
     return out
 
 
 def eval_disp_basis(dim: int, xi: np.ndarray) -> np.ndarray:
     """Displacement basis vectors at reference points, shape (2*dim, npts, dim)."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    tags = disp_dof_tags(dim)
-    out = np.zeros((len(tags), xi.shape[0], dim))
-    for b, tag in enumerate(tags):
-        out[b, :, tag.component] = 1.0 if tag.moment == 0 else xi[:, tag.component]
+    out = np.zeros((2 * dim, xi.shape[0], dim))
+    for b in range(2 * dim):
+        c = b // 2
+        out[b, :, c] = xi[:, c] if b % 2 else 1.0
     return out
 
 
@@ -207,84 +182,6 @@ def box_arrays(box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo, hi, h
 
 
-# -- degrees of freedom ------------------------------------------------------
-
-
-def stress_dofs(field: Callable[[np.ndarray], np.ndarray], box, npts: int = DOF_QPTS) -> np.ndarray:
-    """Local stress coefficients of a smooth symmetric-tensor field on ``box``.
-
-    ``field`` maps points of shape (m, dim) to tensors of shape (m, dim, dim).
-    Entity averages use ``npts``-point Gauss per free axis; 2D corner
-    functionals are point evaluations.
-    """
-    lo, hi, h = box_arrays(box)
-    dim = lo.size
-    coeffs = np.zeros(n_stress_dofs(dim))
-    for a, tag in enumerate(stress_dof_tags(dim)):
-        if tag.kind == "diag_face":
-            i = tag.component[0]
-            free = [k for k in range(dim) if k != i]
-            pts, w = tensor_rule(npts, dim - 1)
-            x = np.empty((pts.shape[0], dim))
-            x[:, free] = lo[free] + pts * h[free]
-            x[:, i] = lo[i] + tag.entity * h[i]
-            coeffs[a] = w @ field(x)[:, i, i]
-        elif tag.kind == "diag_volume":
-            i = tag.component[0]
-            pts, w = tensor_rule(npts, dim)
-            x = lo + pts * h
-            coeffs[a] = w @ field(x)[:, i, i]
-        else:
-            i, j = tag.component
-            ci, cj = CORNERS[tag.entity]
-            free = [k for k in range(dim) if k not in (i, j)]
-            pts, w = tensor_rule(npts, dim - 2)
-            x = np.empty((pts.shape[0], dim))
-            x[:, free] = lo[free] + pts * h[free]
-            x[:, i] = lo[i] + ci * h[i]
-            x[:, j] = lo[j] + cj * h[j]
-            coeffs[a] = w @ field(x)[:, i, j]
-    return coeffs
-
-
-@dataclass(frozen=True)
-class LocalStressPolynomial:
-    """A member of the local stress space on one element, given by coefficients."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    coeffs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lo.size
-
-    def _xi(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (x - self.lo) / (self.hi - self.lo)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        basis = eval_stress_basis(self.dim, self._xi(x))
-        return np.einsum("a,amij->mij", self.coeffs, basis)
-
-    def divergence(self, x: np.ndarray) -> np.ndarray:
-        div = eval_stress_basis_div(self.dim, self._xi(x), self.hi - self.lo)
-        return np.einsum("a,ami->mi", self.coeffs, div)
-
-
-def local_from_dofs(coeffs: Sequence[float], box) -> LocalStressPolynomial:
-    """Rebuild the local stress polynomial whose DOFs equal ``coeffs``."""
-    lo, hi, _ = box_arrays(box)
-    dim = lo.size
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n_stress_dofs(dim),):
-        raise ValueError(
-            f"expected {n_stress_dofs(dim)} coefficients for dim {dim}, "
-            f"got shape {coeffs.shape}"
-        )
-    return LocalStressPolynomial(lo, hi, coeffs)
-
-
 # -- local matrices -----------------------------------------------------------
 #
 # Every shape function is a product of 1D factors, one per axis, and so is
@@ -296,16 +193,6 @@ def local_from_dofs(coeffs: Sequence[float], box) -> LocalStressPolynomial:
 # of a face quadratic, a moment a derivative does not see, two different
 # components -- is an exact 0.0 for every box and material.
 
-_ONE = (1,)
-_T = (0, 1)
-# Integer monomial coefficients of the dual quadratics and the hats 1 - t, t.
-_QUADRATICS = tuple(tuple(int(c) for c in row) for row in _Q_DIAG)
-_HATS = ((1, -1), (0, 1))
-
-
-def _deriv(p: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k * c for k, c in enumerate(p))[1:] or (0,)
-
 
 @lru_cache(maxsize=None)
 def _integral(p: tuple[int, ...], q: tuple[int, ...]) -> float:
@@ -313,11 +200,6 @@ def _integral(p: tuple[int, ...], q: tuple[int, ...]) -> float:
     return float(
         sum(Fraction(a * b, i + j + 1) for i, a in enumerate(p) for j, b in enumerate(q))
     )
-
-
-def _factors(dim: int, polys: dict[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """One 1D factor per axis: ``polys`` on the axes it names, 1 on the others."""
-    return tuple(polys.get(k, _ONE) for k in range(dim))
 
 
 def _stress_terms(dim: int, h: np.ndarray):
@@ -329,31 +211,20 @@ def _stress_terms(dim: int, h: np.ndarray):
     differentiated axis).
     """
     value, trace, div = [], [], []
-    for tag in stress_dof_tags(dim):
-        if tag.kind == "shear_corner":
-            i, j = tag.component
-            a, b = (_HATS[c] for c in CORNERS[tag.entity])
-            f = _factors(dim, {i: a, j: b})
-            value.append([((i, j), 1.0, f), ((j, i), 1.0, f)])
-            trace.append([])
-            div.append(
-                [
-                    (i, 1.0 / h[j], _factors(dim, {i: a, j: _deriv(b)})),
-                    (j, 1.0 / h[i], _factors(dim, {i: _deriv(a), j: b})),
-                ]
-            )
-        else:
-            i = tag.component[0]
-            q = _QUADRATICS[_diag_row(tag)]
-            f = _factors(dim, {i: q})
-            value.append([(tag.component, 1.0, f)])
-            trace.append([(None, 1.0, f)])
-            div.append([(i, 1.0 / h[i], _factors(dim, {i: _deriv(q)}))])
+    for dof in element_table(dim):
+        f = dof.factors
+        entries = _entries(dof.entry)
+        value.append([(e, 1.0, f) for e in entries])
+        trace.append([(None, 1.0, f)] if len(entries) == 1 else [])
+        div.append([(r, 1.0 / h[s], _derived(f, s)) for r, s in entries])
     return value, trace, div
 
 
 def _disp_terms(dim: int):
-    return [[(c, 1.0, _factors(dim, {c: (_ONE, _T)[m]}))] for c, m in disp_dof_tags(dim)]
+    return [
+        [(b // 2, 1.0, _per_axis(dim, {b // 2: (_ONE, _T)[b % 2]}, _ONE))]
+        for b in range(2 * dim)
+    ]
 
 
 def _inner(rows, cols) -> np.ndarray:

@@ -1,45 +1,21 @@
-"""Uniform tensor-product rectangular grids with entity enumeration.
+"""Uniform tensor-product rectangular grids.
 
 A grid covers the box ``prod_i [lo_i, hi_i]`` with ``N_i`` equal cells per
-axis.  Besides the elements it enumerates two kinds of lower-dimensional
-entities that carry stress degrees of freedom:
-
-* (n-1)-faces perpendicular to one axis ``i``: indexed by a multi-index that
-  runs over the ``N_i + 1`` grid planes along axis ``i`` and over elements
-  along every other axis;
-* (n-2)-faces perpendicular to an axis pair ``(i, j)``, ``i < j``: indexed by
-  plane positions along both ``i`` and ``j`` and elements elsewhere.  In 2D
-  these are the mesh vertices.
-
-All entity families are flattened with axis 0 varying fastest; adjacency
-listings are ordered by that flat index.  Grids are immutable and store no
-coordinate arrays; geometry is derived from the box and counts on demand.
+axis.  Cells are numbered by multi-index, flattened with axis 0 varying
+fastest.  The entities that carry stress degrees of freedom -- the grid
+planes perpendicular to one axis and the (n-2)-faces perpendicular to an
+axis pair -- form lattices of the same kind, with ``N_k + 1`` points along
+the axes where they lie on grid planes; ``assembly.build_dof_map`` numbers
+them from the element table.  Grids are immutable and store no coordinate
+arrays; geometry is derived from the box and counts on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Sequence
 
 import numpy as np
-
-
-class FaceId(NamedTuple):
-    """An (n-1)-face perpendicular to ``axis``."""
-
-    axis: int
-    index: tuple[int, ...]
-
-
-class SubfaceId(NamedTuple):
-    """An (n-2)-face perpendicular to the axis pair ``axes`` (i < j)."""
-
-    axes: tuple[int, int]
-    index: tuple[int, ...]
-
-
-EntityId = Union[FaceId, SubfaceId]
 
 
 def multi_index_array(dims: Sequence[int]) -> np.ndarray:
@@ -114,16 +90,9 @@ class TensorGrid:
     def n_elements(self) -> int:
         return int(np.prod(self.subdivisions))
 
-    def element_flat(self, multi: Sequence[int]) -> int:
-        return int(np.asarray(multi) @ flat_strides(self.subdivisions))
-
     def element_multi_array(self) -> np.ndarray:
         """Multi-indices of all elements in flat order, shape (n_elements, dim)."""
         return multi_index_array(self.subdivisions)
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        for m in self.element_multi_array():
-            yield tuple(int(v) for v in m)
 
     def element_box(self, multi: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         m = np.asarray(multi)
@@ -135,124 +104,6 @@ class TensorGrid:
     def element_origins(self) -> np.ndarray:
         """Lower corners of all elements in flat order, shape (n_elements, dim)."""
         return self.lo + self.element_multi_array() * self.spacing
-
-    # -- (n-1)-faces ----------------------------------------------------------
-
-    def face_dims(self, axis: int) -> tuple[int, ...]:
-        self._check_axis(axis)
-        return tuple(
-            n + 1 if k == axis else n for k, n in enumerate(self.subdivisions)
-        )
-
-    def n_faces(self, axis: int) -> int:
-        return int(np.prod(self.face_dims(axis)))
-
-    @property
-    def n_faces_total(self) -> int:
-        return sum(self.n_faces(i) for i in range(self.dim))
-
-    def face_flat(self, face: FaceId) -> int:
-        self._check_face(face)
-        return int(np.asarray(face.index) @ flat_strides(self.face_dims(face.axis)))
-
-    def faces(self, axis: int) -> Iterator[FaceId]:
-        for m in multi_index_array(self.face_dims(axis)):
-            yield FaceId(axis, tuple(int(v) for v in m))
-
-    def face_box(self, face: FaceId) -> tuple[np.ndarray, np.ndarray]:
-        """Closed box of the face; extent along ``face.axis`` is zero."""
-        self._check_face(face)
-        m = np.asarray(face.index)
-        lo = self.lo + m * self.spacing
-        hi = lo + self.spacing
-        hi[face.axis] = lo[face.axis]
-        return lo, hi
-
-    # -- (n-2)-faces ----------------------------------------------------------
-
-    def axis_pairs(self) -> Iterator[tuple[int, int]]:
-        return combinations(range(self.dim), 2)
-
-    def subface_dims(self, i: int, j: int) -> tuple[int, ...]:
-        self._check_pair(i, j)
-        return tuple(
-            n + 1 if k in (i, j) else n for k, n in enumerate(self.subdivisions)
-        )
-
-    def n_subfaces(self, i: int, j: int) -> int:
-        return int(np.prod(self.subface_dims(i, j)))
-
-    def subface_flat(self, sub: SubfaceId) -> int:
-        self._check_subface(sub)
-        i, j = sub.axes
-        return int(np.asarray(sub.index) @ flat_strides(self.subface_dims(i, j)))
-
-    def subfaces(self, i: int, j: int) -> Iterator[SubfaceId]:
-        for m in multi_index_array(self.subface_dims(i, j)):
-            yield SubfaceId((i, j), tuple(int(v) for v in m))
-
-    def subface_box(self, sub: SubfaceId) -> tuple[np.ndarray, np.ndarray]:
-        """Closed box of the subface; extent along both of ``sub.axes`` is zero."""
-        self._check_subface(sub)
-        m = np.asarray(sub.index)
-        lo = self.lo + m * self.spacing
-        hi = lo + self.spacing
-        hi[list(sub.axes)] = lo[list(sub.axes)]
-        return lo, hi
-
-    # -- adjacency ------------------------------------------------------------
-
-    def entity_adjacency(self, entity: EntityId) -> list[tuple[int, ...]]:
-        """Elements touching the entity, ordered by flat element index.
-
-        Interior faces return 2 elements, interior subfaces 4; boundary
-        entities return the subset that exists.
-        """
-        if isinstance(entity, FaceId):
-            self._check_face(entity)
-            pinned = {entity.axis: entity.index[entity.axis]}
-        elif isinstance(entity, SubfaceId):
-            self._check_subface(entity)
-            i, j = entity.axes
-            pinned = {i: entity.index[i], j: entity.index[j]}
-        else:
-            raise TypeError(f"not an entity id: {entity!r}")
-
-        candidates = [list(entity.index)]
-        for axis, plane in pinned.items():
-            grown = []
-            for base in candidates:
-                for li in (plane - 1, plane):
-                    if 0 <= li < self.subdivisions[axis]:
-                        cell = list(base)
-                        cell[axis] = li
-                        grown.append(cell)
-            candidates = grown
-        candidates.sort(key=self.element_flat)
-        return [tuple(c) for c in candidates]
-
-    # -- validation helpers -----------------------------------------------------
-
-    def _check_axis(self, axis: int) -> None:
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-
-    def _check_pair(self, i: int, j: int) -> None:
-        if not (0 <= i < j < self.dim):
-            raise ValueError(f"invalid axis pair ({i}, {j}) for dim {self.dim}")
-
-    def _check_face(self, face: FaceId) -> None:
-        dims = self.face_dims(face.axis)
-        idx = face.index
-        if len(idx) != self.dim or any(not 0 <= m < d for m, d in zip(idx, dims)):
-            raise ValueError(f"invalid face id {face!r}")
-
-    def _check_subface(self, sub: SubfaceId) -> None:
-        i, j = sub.axes
-        dims = self.subface_dims(i, j)
-        idx = sub.index
-        if len(idx) != self.dim or any(not 0 <= m < d for m, d in zip(idx, dims)):
-            raise ValueError(f"invalid subface id {sub!r}")
 
 
 def build_grid(

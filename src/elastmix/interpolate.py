@@ -60,13 +60,6 @@ class StressField:
         local = self.coeffs[self.dofs.element_stress[elements]]
         return np.einsum("el,lmi->emi", local, div)
 
-    def eval_on_element(self, elem_multi, xi: np.ndarray) -> np.ndarray:
-        """Tensor values at reference points on one element, (m, dim, dim)."""
-        grid = self.dofs.grid
-        basis = eval_stress_basis(grid.dim, xi)
-        local = self.coeffs[self.dofs.element_stress[grid.element_flat(elem_multi)]]
-        return np.einsum("l,lmij->mij", local, basis)
-
 
 @dataclass(frozen=True)
 class DisplacementField:
@@ -92,12 +85,6 @@ class DisplacementField:
         local = self.coeffs[self.dofs.element_disp[elements]]
         return np.einsum("el,lmi->emi", local, basis)
 
-    def eval_on_element(self, elem_multi, xi: np.ndarray) -> np.ndarray:
-        grid = self.dofs.grid
-        basis = eval_disp_basis(grid.dim, xi)
-        local = self.coeffs[self.dofs.element_disp[grid.element_flat(elem_multi)]]
-        return np.einsum("l,lmi->mi", local, basis)
-
 
 def interp_stress(
     grid: TensorGrid,
@@ -113,32 +100,21 @@ def interp_stress(
     """
     dim = grid.dim
     coeffs = np.zeros(dofs.n_stress)
-
-    def averages(dims, free, targets):
-        """Fill the entity averages of one lattice of entities.
-
-        ``free`` lists the axes the entities extend along; ``targets`` holds
-        (global offset, i, j) for each component averaged over them.
-        """
+    # families on one lattice share the evaluations of sigma: the volume
+    # averages of all diagonal components take one pass
+    lattices: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for (i, j), nodal, start in dofs.families:
+        lattices.setdefault(nodal, []).append((start, i, j))
+    for nodal, targets in lattices.items():
+        free = [k for k in range(dim) if not nodal[k]]
         pts, w = tensor_rule(npts, len(free))
         ref = np.zeros((pts.shape[0], dim))
         ref[:, free] = pts
+        dims = tuple(n + c for n, c in zip(grid.subdivisions, nodal))
         for block, x in element_blocks(grid, ref, dims):
             vals = sigma(x.reshape(-1, dim)).reshape(x.shape[:2] + (dim, dim))
             for start, i, j in targets:
                 coeffs[start + block.start : start + block.stop] = vals[:, :, i, j] @ w
-
-    for i in range(dim):
-        free = [k for k in range(dim) if k != i]
-        averages(grid.face_dims(i), free, [(dofs.diag_face_offsets[i], i, i)])
-    averages(
-        grid.subdivisions,
-        list(range(dim)),
-        [(dofs.diag_volume_offsets[i], i, i) for i in range(dim)],
-    )
-    for i, j in grid.axis_pairs():
-        free = [k for k in range(dim) if k not in (i, j)]
-        averages(grid.subface_dims(i, j), free, [(dofs.shear_offsets[(i, j)], i, j)])
 
     return StressField(dofs, coeffs)
 

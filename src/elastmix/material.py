@@ -18,16 +18,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LameParams:
-    """Shear modulus ``mu`` > 0 and first Lame constant ``lam`` >= 0."""
+    """Shear modulus ``mu`` > 0 and first Lame constant ``lam`` >= 0, both finite."""
 
     mu: float
     lam: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"shear modulus must be positive, got {self.mu}")
-        if self.lam < 0:
-            raise ValueError(f"first Lame constant must be nonnegative, got {self.lam}")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"shear modulus must be positive and finite, got {self.mu}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"first Lame constant must be nonnegative and finite, got {self.lam}")
 
     @classmethod
     def from_young_poisson(cls, young: float, poisson: float) -> "LameParams":

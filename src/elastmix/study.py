@@ -23,7 +23,7 @@ from pathlib import Path
 from .assembly import assemble, assemble_load, build_dof_map
 from .grid import TensorGrid, unit_grid
 from .interpolate import interp_stress, project_displacement
-from .manufactured import SOLUTIONS, solution_by_name
+from .manufactured import solution_by_name
 from .material import LameParams
 from .solver import SolveReport, solve
 from .verify import (
@@ -67,16 +67,17 @@ class StudyConfig:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if not self.levels:
             raise ValueError("need at least one level")
+        if min(self.levels) < 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError(f"levels must be strictly increasing, got {self.levels}")
-        if self.solution not in SOLUTIONS:
-            raise ValueError(
-                f"unknown solution {self.solution!r}; available: {sorted(SOLUTIONS)}"
-            )
         if self.quad_points < 2:
             raise ValueError("quad_points must be at least 2")
-        # materialize early so bad mu/lam surface as config errors
-        LameParams(self.mu, self.lam)
+        if not self.solver_tol > 0:
+            raise ValueError(f"solver tolerance must be positive, got {self.solver_tol}")
+        # materialize early so a bad mu/lam, solution name or dimension
+        # surfaces as a config error
+        solution_by_name(self.solution, self.dim, LameParams(self.mu, self.lam))
 
 
 @dataclass(frozen=True)

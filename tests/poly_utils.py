@@ -1,9 +1,11 @@
 """Random polynomial tensor fields with analytic derivatives, used as oracles,
-the meshes that exercise partial element blocks, dense stability probes and
-the local matrices by Gauss quadrature."""
+the meshes that exercise partial element blocks, one-cell grids, the full
+saddle matrix, dense stability probes and the local matrices by Gauss
+quadrature."""
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from elastmix.assembly import assemble, assemble_disp_mass, assemble_stress_gram, build_dof_map
 from elastmix.element import (
@@ -12,7 +14,8 @@ from elastmix.element import (
     eval_stress_basis,
     eval_stress_basis_div,
 )
-from elastmix.grid import TensorGrid
+from elastmix.grid import TensorGrid, build_grid
+from elastmix.interpolate import StressField, interp_stress
 from elastmix.material import apply_compliance
 from elastmix.quadrature import ELEMENT_BLOCK, tensor_rule
 
@@ -24,6 +27,42 @@ def partial_block_grid(dim):
     grid = TensorGrid(dim, box, (n,) * dim)
     assert grid.n_elements > ELEMENT_BLOCK and grid.n_elements % ELEMENT_BLOCK
     return grid
+
+
+def one_cell(box):
+    """The grid of one cell on ``box`` = (lo, hi) and its DOF map."""
+    lo, hi = box
+    grid = build_grid(len(lo), list(zip(lo, hi)), (1,) * len(lo))
+    return grid, build_dof_map(grid)
+
+
+def local_dofs(field, box):
+    """The DOFs of ``field`` on the cell ``box``, in element-table order, as
+    interp_stress measures them on a one-cell grid."""
+    grid, dofs = one_cell(box)
+    return interp_stress(grid, dofs, field).coeffs[dofs.element_stress[0]]
+
+
+def local_field(coeffs, box):
+    """The stress field with local DOFs ``coeffs`` on the cell ``box``, as
+    functions of physical points: values (m, dim, dim) and divergence (m, dim)."""
+    grid, dofs = one_cell(box)
+    glob = np.zeros(dofs.n_stress)
+    glob[dofs.element_stress[0]] = coeffs
+    field = StressField(dofs, glob)
+
+    def xi(x):
+        return (np.atleast_2d(x) - grid.lo) / grid.spacing
+
+    return (
+        lambda x: field.eval_elements(xi(x))[0],
+        lambda x: field.div_elements(xi(x))[0],
+    )
+
+
+def full_matrix(system):
+    """The assembled saddle matrix [[M, B^T], [B, 0]]."""
+    return sp.bmat([[system.M, system.B.T], [system.B, None]], format="csr")
 
 
 class PolyTensorField:

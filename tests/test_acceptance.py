@@ -10,11 +10,9 @@ import pytest
 from elastmix.assembly import assemble, assemble_load, build_dof_map
 from elastmix.element import (
     disp_mass,
+    element_table,
     eval_disp_basis,
     eval_stress_basis_div,
-    local_from_dofs,
-    n_stress_dofs,
-    stress_dofs,
 )
 from elastmix.grid import unit_grid
 from elastmix.interpolate import interp_stress
@@ -23,7 +21,7 @@ from elastmix.quadrature import tensor_rule
 from elastmix.solver import solve
 from elastmix.study import StudyConfig, run_study
 from elastmix.verify import infsup_probe, kernel_ellipticity_probe
-from poly_utils import PolyTensorField, random_box
+from poly_utils import PolyTensorField, full_matrix, local_dofs, local_field, random_box
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -71,9 +69,9 @@ def test_criterion_1_divergence_orthogonality():
             lo, hi = box
             vol = float(np.prod(hi - lo))
             field = PolyTensorField.random(dim, rng, degree=2)
-            interp = local_from_dofs(stress_dofs(field, box), box)
+            _, interp_div = local_field(local_dofs(field, box), box)
             x = lo + pts * (hi - lo)
-            div_diff = field.divergence(x) - interp.divergence(x)
+            div_diff = field.divergence(x) - interp_div(x)
             moments = vol * np.einsum("qi,bqi,q->b", div_diff, psi, w)
             raw = vol * np.einsum("qi,bqi,q->b", field.divergence(x), psi, w)
             scale = max(1.0, float(np.abs(raw).max()))
@@ -98,7 +96,7 @@ def test_criterion_2_shear_orthogonality():
             h = hi - lo
             vol = float(np.prod(h))
             field = PolyTensorField.random(dim, rng, degree=1)
-            interp = local_from_dofs(stress_dofs(field, box), box)
+            interp, _ = local_field(local_dofs(field, box), box)
             x = lo + pts * h
             xi = (x - lo) / h
             diff = field(x) - interp(x)
@@ -131,7 +129,7 @@ def test_criterion_3_kernel_inclusion():
         div = eval_stress_basis_div(dim, pts, h)
         psi = eval_disp_basis(dim, pts)
         gram = disp_mass(box)
-        for a in range(n_stress_dofs(dim)):
+        for a in range(len(element_table(dim))):
             moments = vol * np.einsum("qi,bqi,q->b", div[a], psi, w)
             proj = np.einsum("b,bqi->qi", np.linalg.solve(gram, moments), psi)
             resid = div[a] - proj
@@ -254,7 +252,7 @@ def test_criterion_9_solver_fidelity(study_2d, study_3d):
     load = assemble_load(grid, sine_solution(2, MAT).f, dofs)
     sigma, u, _ = solve(system, load)
     dense = np.linalg.solve(
-        system.full_matrix().toarray(),
+        full_matrix(system).toarray(),
         np.concatenate([np.zeros(dofs.n_stress), load]),
     )
     x = np.concatenate([sigma.coeffs, u.coeffs])

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.io import mmread
 
 from elastmix.assembly import (
     assemble,
@@ -12,8 +11,13 @@ from elastmix.assembly import (
     assemble_stress_gram,
     build_dof_map,
 )
-from elastmix.element import eval_disp_basis, local_compliance_matrix, local_div_matrix
-from elastmix.grid import TensorGrid, unit_grid
+from elastmix.element import (
+    element_table,
+    eval_disp_basis,
+    local_compliance_matrix,
+    local_div_matrix,
+)
+from elastmix.grid import TensorGrid, build_grid, multi_index_array, unit_grid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
@@ -63,18 +67,29 @@ def test_local_to_global_injective_per_element():
         assert len(set(row.tolist())) == row.size
 
 
-def test_entity_sharing_counts():
-    grid = unit_grid(2, 2)
-    dofs = build_dof_map(grid)
-    counts = np.bincount(dofs.element_stress.ravel(), minlength=dofs.n_stress)
-    # interior face between elements (0,0) and (1,0), axis 0 plane 1
-    from elastmix.grid import FaceId, SubfaceId
+# anisotropic boxes, each with an axis of one cell
+SHARING_GRIDS = [
+    TensorGrid(2, ((0.0, 1.0), (-0.5, 2.0)), (3, 1)),
+    TensorGrid(3, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3)), (2, 1, 3)),
+    TensorGrid(4, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3), (0.0, 2.0)), (2, 1, 3, 2)),
+]
 
-    assert counts[dofs.diag_face_index(FaceId(0, (1, 0)))] == 2
-    assert counts[dofs.diag_face_index(FaceId(0, (0, 0)))] == 1
-    assert counts[dofs.shear_index(SubfaceId((0, 1), (1, 1)))] == 4
-    assert counts[dofs.shear_index(SubfaceId((0, 1), (0, 0)))] == 1
-    assert counts[dofs.diag_volume_index(0, (0, 0))] == 1
+
+def test_entity_sharing_counts():
+    # the cells sharing an entity are counted per axis: 1 on a boundary plane,
+    # 2 on an interior one, and 1 along the axes where the entity spans the cell
+    for grid in SHARING_GRIDS:
+        dofs = build_dof_map(grid)
+        counts = np.bincount(dofs.element_stress.ravel())
+        covered = 0
+        for _, nodal, start in dofs.families:
+            dims = np.asarray(grid.subdivisions) + nodal
+            multi = multi_index_array(dims)
+            inside = (multi > 0) & (multi < dims - 1)
+            expected = np.prod(np.where(nodal, 1 + inside, 1), axis=1)
+            assert np.array_equal(counts[start : start + expected.size], expected)
+            covered += expected.size
+        assert covered == dofs.n_stress == counts.size
 
 
 def test_single_element_system_equals_local_matrices():
@@ -104,73 +119,54 @@ def test_divergence_of_constant_identity_field():
     dofs = build_dof_map(grid)
     system = assemble(grid, MAT, dofs)
     coeffs = np.zeros(dofs.n_stress)
-    for i in range(2):
-        start = dofs.diag_face_offsets[i]
-        coeffs[start : start + grid.n_faces(i)] = 1.0
-        start = dofs.diag_volume_offsets[i]
-        coeffs[start : start + grid.n_elements] = 1.0
+    diagonal = [a for a, dof in enumerate(element_table(2)) if dof.entry[0] == dof.entry[1]]
+    coeffs[dofs.element_stress[:, diagonal]] = 1.0
     assert np.abs(system.B @ coeffs).max() <= 1e-14
 
 
-def test_normal_traces_match_across_interior_faces():
-    # random conforming coefficients: the trace of sigma . e_axis agrees from
-    # both sides of every interior face at quadrature points
-    grid = unit_grid(2, 3)
+def _assert_normal_traces_continuous(grid, seed):
+    # random conforming coefficients: sigma . e_axis at the upper face of each
+    # cell equals it at the lower face of the next cell along the axis, at
+    # Gauss points of the face; all cells are evaluated at once
+    dim = grid.dim
     dofs = build_dof_map(grid)
-    rng = np.random.default_rng(17)
-    field = StressField(dofs, rng.standard_normal(dofs.n_stress))
-    nodes = np.linspace(0.06, 0.94, 5)
-    for axis in range(2):
-        other = 1 - axis
-        for plane in range(1, grid.subdivisions[axis]):
-            for row in range(grid.subdivisions[other]):
-                left = [0, 0]
-                left[axis], left[other] = plane - 1, row
-                right = [0, 0]
-                right[axis], right[other] = plane, row
-                xi_l = np.zeros((5, 2))
-                xi_l[:, axis] = 1.0
-                xi_l[:, other] = nodes
-                xi_r = np.zeros((5, 2))
-                xi_r[:, other] = nodes
-                trace_l = field.eval_on_element(tuple(left), xi_l)[:, :, axis]
-                trace_r = field.eval_on_element(tuple(right), xi_r)[:, :, axis]
-                assert np.abs(trace_l - trace_r).max() <= 1e-12
+    field = StressField(dofs, np.random.default_rng(seed).standard_normal(dofs.n_stress))
+    pts, _ = tensor_rule(3, dim - 1)
+    multi = grid.element_multi_array()
+    stride = 1
+    for axis in range(dim):
+        others = [k for k in range(dim) if k != axis]
+        lower = np.zeros((pts.shape[0], dim))
+        lower[:, others] = pts
+        upper = lower.copy()
+        upper[:, axis] = 1.0
+        cells = np.nonzero(multi[:, axis] < grid.subdivisions[axis] - 1)[0]
+        trace_l = field.eval_elements(upper)[cells, :, :, axis]
+        trace_r = field.eval_elements(lower)[cells + stride, :, :, axis]
+        assert cells.size > 0
+        assert np.abs(trace_l - trace_r).max() <= 1e-12
+        stride *= grid.subdivisions[axis]
+
+
+def test_normal_traces_match_across_interior_faces():
+    _assert_normal_traces_continuous(unit_grid(2, 3), seed=17)
+    # 4D: the trace carries one diagonal and three shear components
+    _assert_normal_traces_continuous(
+        build_grid(4, [(0.0, 1.0), (-1.0, 0.5), (0.0, 0.3), (0.0, 2.0)], (2, 3, 2, 2)), seed=21
+    )
 
 
 def test_normal_traces_match_across_interior_faces_3d():
     # in 3D the trace of sigma . e_axis on an interior face carries one
     # diagonal and two shear components; all must be continuous
-    grid = unit_grid(3, 2)
-    dofs = build_dof_map(grid)
-    rng = np.random.default_rng(19)
-    field = StressField(dofs, rng.standard_normal(dofs.n_stress))
-    pts2, _ = tensor_rule(3, 2)
-    for axis in range(3):
-        others = [k for k in range(3) if k != axis]
-        for plane in range(1, grid.subdivisions[axis]):
-            for row in np.ndindex(*(grid.subdivisions[k] for k in others)):
-                left = [0, 0, 0]
-                right = [0, 0, 0]
-                left[axis], right[axis] = plane - 1, plane
-                for k, r in zip(others, row):
-                    left[k] = right[k] = r
-                xi_l = np.zeros((pts2.shape[0], 3))
-                xi_r = np.zeros((pts2.shape[0], 3))
-                xi_l[:, axis] = 1.0
-                for col, k in enumerate(others):
-                    xi_l[:, k] = pts2[:, col]
-                    xi_r[:, k] = pts2[:, col]
-                trace_l = field.eval_on_element(tuple(left), xi_l)[:, :, axis]
-                trace_r = field.eval_on_element(tuple(right), xi_r)[:, :, axis]
-                assert np.abs(trace_l - trace_r).max() <= 1e-12
+    _assert_normal_traces_continuous(
+        build_grid(3, [(0.0, 1.0), (-1.0, 0.5), (0.0, 0.3)], (2, 3, 2)), seed=19
+    )
 
 
 def test_anisotropic_subdivisions_full_pipeline():
     # different cell counts per axis: assemble, solve, and verify the energy
     # identity and the discrete-space reproduction of the interpolation
-    from elastmix.grid import build_grid
-    from elastmix.manufactured import sine_solution
     from elastmix.solver import solve
 
     grid = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], (2, 4))
@@ -301,14 +297,6 @@ def test_affine_parameter_dependence():
     predicted = gram / (2 * mu) - lam / (2 * mu * (2 * mu + 2 * lam)) * trace_coupling
     actual = assemble(grid, LameParams(mu, lam), dofs).M.toarray()
     assert np.allclose(actual, predicted, rtol=1e-12, atol=1e-12)
-
-
-def test_matrix_market_export(tmp_path):
-    system = assemble(unit_grid(2, 2), MAT)
-    path = tmp_path / "system.mtx"
-    system.export_matrix_market(path)
-    loaded = mmread(path)
-    assert np.allclose(loaded.toarray(), system.full_matrix().toarray(), atol=1e-15)
 
 
 def test_disp_mass_block_diagonal():

@@ -129,6 +129,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["--solution", "polynomial", "--levels", "4,4"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["--dim", "1", "--levels", "2,4"]) == 2
+    # each of these used to pass the check and fail later with a traceback
+    for argv in (
+        ["--tol", "0"],
+        ["--levels", "0,4,8"],
+        ["--dim", "4", "--levels", "2,3,4"],
+        ["--lambda", "nan"],
+    ):
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):

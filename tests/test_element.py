@@ -3,19 +3,20 @@ import pytest
 
 from elastmix.element import (
     disp_mass,
+    element_table,
     eval_disp_basis,
+    eval_stress_basis,
+    eval_stress_basis_div,
     local_compliance_matrix,
     local_div_matrix,
-    local_from_dofs,
-    n_stress_dofs,
     stress_divdiv_gram,
-    stress_dof_tags,
-    stress_dofs,
     stress_l2_gram,
 )
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from poly_utils import (
+    local_dofs,
+    local_field,
     quadrature_compliance_matrix,
     quadrature_disp_mass,
     quadrature_div_matrix,
@@ -28,28 +29,36 @@ UNIT_SQUARE = (np.zeros(2), np.ones(2))
 
 
 def test_shape_function_counts():
-    assert n_stress_dofs(2) == 10
-    assert n_stress_dofs(3) == 21
-    assert len(stress_dof_tags(2)) == 10
-    assert len(stress_dof_tags(4)) == 36
+    for dim in (2, 3, 4):
+        table = element_table(dim)
+        assert len(table) == 2 * dim * dim + dim
+        diagonal = [dof for dof in table if dof.entry[0] == dof.entry[1]]
+        assert len(diagonal) == 3 * dim
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_shape_functions_dual_to_interpolation(dim):
+    # interp_stress of shape function a, measured by quadrature of entity
+    # averages, is the unit vector e_a in element-table order
+    box = random_box(dim, np.random.default_rng(60 + dim))
+    lo, hi = box
+    nfun = len(element_table(dim))
+    for a in range(nfun):
+        coeffs = local_dofs(lambda x: eval_stress_basis(dim, (x - lo) / (hi - lo))[a], box)
+        assert np.abs(coeffs - np.eye(nfun)[a]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_duality_random_boxes(dim):
     # reconstructing from coefficients and re-measuring the DOFs must be the
-    # identity, for 100 random draws on random boxes
+    # identity, for 100 random draws on random boxes and on the unit box
     rng = np.random.default_rng(2024)
-    nfun = n_stress_dofs(dim)
-    for _ in range(50):
-        box = random_box(dim, rng)
+    nfun = len(element_table(dim))
+    boxes = [random_box(dim, rng) for _ in range(50)] + [(np.zeros(dim), np.ones(dim))] * 50
+    for box in boxes:
         coeffs = rng.standard_normal(nfun)
-        poly = local_from_dofs(coeffs, box)
-        measured = stress_dofs(poly, box)
-        assert np.abs(measured - coeffs).max() <= 1e-12 * max(1.0, np.abs(coeffs).max())
-    for _ in range(50):
-        coeffs = rng.standard_normal(nfun)
-        poly = local_from_dofs(coeffs, (np.zeros(dim), np.ones(dim)))
-        measured = stress_dofs(poly, (np.zeros(dim), np.ones(dim)))
+        value, _ = local_field(coeffs, box)
+        measured = local_dofs(value, box)
         assert np.abs(measured - coeffs).max() <= 1e-12 * max(1.0, np.abs(coeffs).max())
 
 
@@ -77,9 +86,9 @@ def test_local_space_reproduction(dim):
         return out
 
     box = random_box(dim, np.random.default_rng(11))
-    poly = local_from_dofs(stress_dofs(field, box), box)
+    value, _ = local_field(local_dofs(field, box), box)
     pts = np.random.default_rng(13).uniform(box[0], box[1], size=(40, dim))
-    assert np.abs(poly(pts) - field(pts)).max() <= 1e-12
+    assert np.abs(value(pts) - field(pts)).max() <= 1e-12
 
 
 def test_identity_field_dofs():
@@ -87,9 +96,9 @@ def test_identity_field_dofs():
         x = np.atleast_2d(x)
         return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2))
 
-    coeffs = stress_dofs(identity, UNIT_SQUARE)
-    for tag, c in zip(stress_dof_tags(2), coeffs):
-        expected = 0.0 if tag.kind == "shear_corner" else 1.0
+    coeffs = local_dofs(identity, UNIT_SQUARE)
+    for dof, c in zip(element_table(2), coeffs):
+        expected = 1.0 if dof.entry[0] == dof.entry[1] else 0.0
         assert c == pytest.approx(expected, abs=1e-14)
 
 
@@ -100,7 +109,7 @@ def test_quadratic_diagonal_dofs():
         out[:, 0, 0] = x[:, 0] ** 2
         return out
 
-    coeffs = stress_dofs(field, UNIT_SQUARE)
+    coeffs = local_dofs(field, UNIT_SQUARE)
     # faces of sigma_11 at x1 = 0, 1 then its volume average
     assert coeffs[0] == pytest.approx(0.0, abs=1e-15)
     assert coeffs[1] == pytest.approx(1.0)
@@ -109,44 +118,36 @@ def test_quadratic_diagonal_dofs():
 
 
 def test_bilinear_shear_dofs_are_corner_values():
-    from elastmix.element import CORNERS
-
     def field(x):
         x = np.atleast_2d(x)
         out = np.zeros((x.shape[0], 2, 2))
         out[:, 0, 1] = out[:, 1, 0] = x[:, 0] * x[:, 1]
         return out
 
-    coeffs = stress_dofs(field, UNIT_SQUARE)
-    for tag, c in zip(stress_dof_tags(2), coeffs):
-        if tag.kind != "shear_corner":
-            continue
-        ci, cj = CORNERS[tag.entity]
-        assert c == pytest.approx(float(ci * cj), abs=1e-15)
+    coeffs = local_dofs(field, UNIT_SQUARE)
+    for dof, c in zip(element_table(2), coeffs):
+        if dof.entry == (0, 1):
+            ci, cj = dof.offset
+            assert c == pytest.approx(float(ci * cj), abs=1e-15)
 
 
 def test_from_dofs_recovers_quadratic():
     coeffs = np.zeros(10)
     coeffs[0:3] = (0.0, 1.0, 1.0 / 3.0)
-    poly = local_from_dofs(coeffs, UNIT_SQUARE)
+    value, _ = local_field(coeffs, UNIT_SQUARE)
     pts = np.linspace(0.05, 0.95, 7)[:, None] * np.ones((1, 2))
-    assert np.allclose(poly(pts)[:, 0, 0], pts[:, 0] ** 2, atol=1e-14)
+    assert np.allclose(value(pts)[:, 0, 0], pts[:, 0] ** 2, atol=1e-14)
 
 
 def test_shear_partition_of_unity():
     # corner coefficients (1, 1, 1, 1) give the constant 1
     coeffs = np.zeros(10)
     coeffs[6:10] = 1.0
-    poly = local_from_dofs(coeffs, UNIT_SQUARE)
+    value, _ = local_field(coeffs, UNIT_SQUARE)
     pts = np.random.default_rng(1).uniform(0, 1, size=(20, 2))
-    vals = poly(pts)
+    vals = value(pts)
     assert np.allclose(vals[:, 0, 1], 1.0, atol=1e-14)
     assert np.allclose(vals[:, 1, 0], 1.0, atol=1e-14)
-
-
-def test_from_dofs_wrong_length():
-    with pytest.raises(ValueError):
-        local_from_dofs(np.zeros(9), UNIT_SQUARE)
 
 
 def test_degenerate_box_rejected():
@@ -195,7 +196,7 @@ def test_div_matrix_linear_stress():
         out[:, 0, 0] = x[:, 0]
         return out
 
-    coeffs = stress_dofs(field, UNIT_SQUARE)
+    coeffs = local_dofs(field, UNIT_SQUARE)
     moments = local_div_matrix(UNIT_SQUARE) @ coeffs
     # displacement basis order: (1, 0), (x1, 0), (0, 1), (0, x2)
     assert np.allclose(moments, [1.0, 0.5, 0.0, 0.0], atol=1e-14)
@@ -207,7 +208,7 @@ def test_div_matrix_constant_stress():
         base = np.array([[2.0, -1.0], [-1.0, 3.0]])
         return np.broadcast_to(base, (x.shape[0], 2, 2))
 
-    coeffs = stress_dofs(field, UNIT_SQUARE)
+    coeffs = local_dofs(field, UNIT_SQUARE)
     moments = local_div_matrix(UNIT_SQUARE) @ coeffs
     assert np.abs(moments).max() <= 1e-14
 
@@ -222,12 +223,10 @@ def test_divergence_lands_in_displacement_space(dim):
     vol = float(np.prod(h))
     pts, w = tensor_rule(3, dim)
 
-    from elastmix.element import eval_stress_basis_div
-
     div = eval_stress_basis_div(dim, pts, h)
     psi = eval_disp_basis(dim, pts)
     gram = disp_mass(box)
-    for a in range(n_stress_dofs(dim)):
+    for a in range(len(element_table(dim))):
         moments = vol * np.einsum("qi,bqi,q->b", div[a], psi, w)
         proj = np.linalg.solve(gram, moments)
         resid_sq = vol * np.einsum(

@@ -1,30 +1,68 @@
+"""Grid geometry, and the entity lattices as the DOF map numbers them: every
+entity is reached by the cells that touch it, and only by those."""
+
 import numpy as np
 import pytest
 
-from elastmix.grid import FaceId, SubfaceId, build_grid, unit_grid
+from elastmix.assembly import build_dof_map
+from elastmix.element import element_table
+from elastmix.grid import build_grid, flat_strides, unit_grid
+
+
+def _local(dim, entry, offset):
+    """Local index of the DOF of ``entry`` whose entity lies on grid planes at ``offset``."""
+    for a, dof in enumerate(element_table(dim)):
+        if dof.entry == entry and dof.offset == offset and any(dof.nodal):
+            return a
+    raise KeyError((entry, offset))
+
+
+def _entity_count(grid, entry, nodal_axes):
+    """Distinct global unknowns of one family over all cells."""
+    dofs = build_dof_map(grid)
+    nodal = tuple(int(k in nodal_axes) for k in range(grid.dim))
+    table = element_table(grid.dim)
+    columns = [a for a, dof in enumerate(table) if (dof.entry, dof.nodal) == (entry, nodal)]
+    return np.unique(dofs.element_stress[:, columns]).size
+
+
+def _faces(grid, axis):
+    return _entity_count(grid, (axis, axis), (axis,))
+
+
+def _subfaces(grid, i, j):
+    return _entity_count(grid, (i, j), (i, j))
+
+
+def _adjacent(grid, cell, local):
+    """Cells, in flat order, that share the entity of local DOF ``local`` of ``cell``."""
+    dofs = build_dof_map(grid)
+    flat = int(np.asarray(cell) @ flat_strides(grid.subdivisions))
+    touching = (dofs.element_stress == dofs.element_stress[flat, local]).any(axis=1)
+    return [tuple(int(v) for v in m) for m in grid.element_multi_array()[touching]]
 
 
 def test_entity_counts_2x2():
     g = unit_grid(2, 2)
     assert g.n_elements == 4
-    assert g.n_faces(0) == 6
-    assert g.n_faces(1) == 6
-    assert g.n_subfaces(0, 1) == 9
+    assert _faces(g, 0) == 6
+    assert _faces(g, 1) == 6
+    assert _subfaces(g, 0, 1) == 9
 
 
 def test_entity_counts_single_element():
     g = unit_grid(2, 1)
     assert g.n_elements == 1
-    assert g.n_faces(0) == 2
-    assert g.n_faces(1) == 2
-    assert g.n_subfaces(0, 1) == 4
+    assert _faces(g, 0) == 2
+    assert _faces(g, 1) == 2
+    assert _subfaces(g, 0, 1) == 4
 
 
 def test_entity_counts_3d():
     g = unit_grid(3, 2)
     assert g.n_elements == 8
-    assert g.n_faces(0) == 3 * 4
-    assert g.n_subfaces(0, 1) == 9 * 2
+    assert _faces(g, 0) == 3 * 4
+    assert _subfaces(g, 0, 1) == 9 * 2
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -32,15 +70,15 @@ def test_entity_counts_3d():
 def test_total_face_count_formula(dim, n):
     g = unit_grid(dim, n)
     expected = sum((n + 1) * n ** (dim - 1) for _ in range(dim))
-    assert g.n_faces_total == expected
+    assert sum(_faces(g, i) for i in range(dim)) == expected
 
 
 def test_anisotropic_counts():
     g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (2, 3))
     assert g.n_elements == 6
-    assert g.n_faces(0) == 3 * 3
-    assert g.n_faces(1) == 2 * 4
-    assert g.n_subfaces(0, 1) == 3 * 4
+    assert _faces(g, 0) == 3 * 3
+    assert _faces(g, 1) == 2 * 4
+    assert _subfaces(g, 0, 1) == 3 * 4
 
 
 def test_element_box_and_spacing():
@@ -53,63 +91,57 @@ def test_element_box_and_spacing():
 
 def test_interior_vertex_adjacency():
     g = unit_grid(2, 2)
-    vertex = SubfaceId((0, 1), (1, 1))
-    assert g.entity_adjacency(vertex) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    vertex = _local(2, (0, 1), (1, 1))  # the vertex (1, 1) is corner (1, 1) of cell (0, 0)
+    assert _adjacent(g, (0, 0), vertex) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_boundary_face_adjacency():
     g = unit_grid(2, 2)
-    assert g.entity_adjacency(FaceId(0, (0, 0))) == [(0, 0)]
+    assert _adjacent(g, (0, 0), _local(2, (0, 0), (0, 0))) == [(0, 0)]
 
 
 def test_interior_face_adjacency():
     g = unit_grid(2, 2)
-    assert g.entity_adjacency(FaceId(0, (1, 0))) == [(0, 0), (1, 0)]
+    assert _adjacent(g, (0, 0), _local(2, (0, 0), (1, 0))) == [(0, 0), (1, 0)]
 
 
 def test_interior_edge_adjacency_3d():
     g = unit_grid(3, 2)
-    edge = SubfaceId((0, 1), (1, 1, 0))
-    adjacent = g.entity_adjacency(edge)
+    adjacent = _adjacent(g, (0, 0, 0), _local(3, (0, 1), (1, 1, 0)))
     assert len(adjacent) == 4
     assert all(m[2] == 0 for m in adjacent)
-    assert adjacent == sorted(adjacent, key=g.element_flat)
+    strides = flat_strides(g.subdivisions)
+    assert adjacent == sorted(adjacent, key=lambda m: int(np.asarray(m) @ strides))
 
 
 @pytest.mark.parametrize("dim,subs", [(2, (2, 3)), (3, (2, 2, 2)), (4, (2, 1, 2, 1))])
 def test_element_face_round_trip(dim, subs):
+    # the upper face of a cell along each axis is the lower face of the next
+    # cell along it, and no other cell's face
     g = build_grid(dim, [(0.0, 1.0)] * dim, subs)
-    for elem in g.elements():
-        for axis in range(dim):
-            for side in (0, 1):
-                idx = list(elem)
-                idx[axis] += side
-                assert elem in g.entity_adjacency(FaceId(axis, tuple(idx)))
+    stress = build_dof_map(g).element_stress
+    multi = g.element_multi_array()
+    strides = flat_strides(subs)
+    for axis in range(dim):
+        lower = stress[:, _local(dim, (axis, axis), (0,) * dim)]
+        upper = stress[:, _local(dim, (axis, axis), tuple(int(k == axis) for k in range(dim)))]
+        inner = np.nonzero(multi[:, axis] < subs[axis] - 1)[0]
+        assert np.array_equal(upper[inner], lower[inner + strides[axis]])
+        assert np.unique(upper).size == upper.size
+        assert np.intersect1d(upper, lower).size == inner.size
 
 
 def test_boundary_entities_shared_by_fewer_elements():
     g = unit_grid(2, 2)
-    corner = SubfaceId((0, 1), (0, 0))
-    assert g.entity_adjacency(corner) == [(0, 0)]
-    edge_mid = SubfaceId((0, 1), (1, 0))
-    assert g.entity_adjacency(edge_mid) == [(0, 0), (1, 0)]
+    assert _adjacent(g, (0, 0), _local(2, (0, 1), (0, 0))) == [(0, 0)]
+    edge_mid = _local(2, (0, 1), (1, 0))  # the vertex (1, 0)
+    assert _adjacent(g, (0, 0), edge_mid) == [(0, 0), (1, 0)]
 
 
 def test_flat_index_round_trip():
     g = build_grid(3, [(0.0, 1.0)] * 3, (2, 3, 4))
     multis = g.element_multi_array()
-    for flat, multi in enumerate(multis):
-        assert g.element_flat(multi) == flat
-
-
-def test_face_boxes_have_zero_extent_along_axis():
-    g = unit_grid(2, 2)
-    lo, hi = g.face_box(FaceId(0, (1, 0)))
-    assert lo[0] == hi[0] == 0.5
-    assert hi[1] - lo[1] == 0.5
-    lo, hi = g.subface_box(SubfaceId((0, 1), (1, 1)))
-    assert np.allclose(lo, [0.5, 0.5])
-    assert np.allclose(hi, lo)
+    assert np.array_equal(multis @ flat_strides(g.subdivisions), np.arange(g.n_elements))
 
 
 def test_construction_errors():
@@ -123,15 +155,3 @@ def test_construction_errors():
         build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [0, 2])
     with pytest.raises(ValueError):
         build_grid(2, [(0.0, 1.0)], [2, 2])
-
-
-def test_invalid_entity_ids_rejected():
-    g = unit_grid(2, 2)
-    with pytest.raises(ValueError):
-        g.entity_adjacency(FaceId(0, (7, 0)))
-    with pytest.raises(ValueError):
-        g.entity_adjacency(FaceId(2, (0, 0)))
-    with pytest.raises(ValueError):
-        g.entity_adjacency(SubfaceId((1, 0), (0, 0)))
-    with pytest.raises(TypeError):
-        g.entity_adjacency(("face", 0, (0, 0)))

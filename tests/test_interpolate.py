@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from elastmix.assembly import build_dof_map
-from elastmix.element import (
-    eval_disp_basis,
-    local_from_dofs,
-    stress_dofs,
-)
-from elastmix.grid import multi_index_array, unit_grid
+from elastmix.element import eval_disp_basis
+from elastmix.grid import flat_strides, multi_index_array, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
     StressField,
@@ -20,7 +16,7 @@ from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from elastmix.verify import error_norms, fit_rate
-from poly_utils import PolyTensorField, partial_block_grid, random_box
+from poly_utils import PolyTensorField, local_dofs, local_field, partial_block_grid, random_box
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -74,7 +70,7 @@ def test_single_element_transverse_average():
 
     interp = interp_stress(grid, dofs, field)
     pts = np.random.default_rng(0).uniform(0, 1, size=(17, 2))
-    vals = interp.eval_on_element((0, 0), pts)
+    vals = interp.eval_elements(pts)[0]
     assert np.allclose(vals[:, 0, 0], 0.5, atol=1e-14)
     assert np.abs(vals[:, 0, 1]).max() <= 1e-14
 
@@ -110,9 +106,9 @@ def test_divergence_moments_vanish_for_quadratic_fields(dim):
         h = hi - lo
         vol = float(np.prod(h))
         field = PolyTensorField.random(dim, rng, degree=2)
-        interp = local_from_dofs(stress_dofs(field, box), box)
+        _, interp_div = local_field(local_dofs(field, box), box)
         x = lo + pts * h
-        div_diff = field.divergence(x) - interp.divergence(x)
+        div_diff = field.divergence(x) - interp_div(x)
         moments = vol * np.einsum("qi,bqi,q->b", div_diff, psi, w)
         exact_moments = vol * np.einsum(
             "qi,bqi,q->b", field.divergence(x), psi, w
@@ -133,7 +129,7 @@ def test_shear_interpolation_error_l2_orthogonal_to_bilinears(dim):
         h = hi - lo
         vol = float(np.prod(h))
         field = PolyTensorField.random(dim, rng, degree=1)
-        interp = local_from_dofs(stress_dofs(field, box), box)
+        interp, _ = local_field(local_dofs(field, box), box)
         x = lo + pts * h
         xi = (x - lo) / h
         diff = field(x) - interp(x)
@@ -199,16 +195,13 @@ def test_projection_idempotent():
     reference = DisplacementField(dofs, rng.standard_normal(dofs.n_disp))
 
     def evaluator(x):
+        # the piecewise field at arbitrary points: locate each point's cell
         x = np.atleast_2d(x)
-        out = np.empty_like(x)
         h = grid.spacing
-        cell = np.minimum((x - grid.lo) // h, np.asarray(grid.subdivisions) - 1)
-        for e, multi in enumerate(grid.elements()):
-            mask = (cell == multi).all(axis=1)
-            if mask.any():
-                xi = (x[mask] - grid.lo - multi * h) / h
-                out[mask] = reference.eval_on_element(multi, xi)
-        return out
+        cell = np.minimum((x - grid.lo) // h, np.asarray(grid.subdivisions) - 1).astype(int)
+        xi = (x - grid.lo - cell * h) / h
+        local = reference.coeffs[dofs.element_disp[cell @ flat_strides(grid.subdivisions)]]
+        return np.einsum("ml,lmi->mi", local, eval_disp_basis(2, xi))
 
     projected = project_displacement(grid, dofs, evaluator)
     assert np.abs(projected.coeffs - reference.coeffs).max() <= 1e-13
@@ -226,21 +219,14 @@ def _whole_array_interp(grid, dofs, sigma, npts=5):
     """interp_stress with every entity family evaluated in one array."""
     dim, lo, h = grid.dim, grid.lo, grid.spacing
     coeffs = np.zeros(dofs.n_stress)
-
-    def fill(dims, free, offset, i, j):
+    for (i, j), nodal, start in dofs.families:
+        free = [k for k in range(dim) if not nodal[k]]
         pts, w = tensor_rule(npts, len(free))
-        multis = multi_index_array(dims)
+        multis = multi_index_array(np.asarray(grid.subdivisions) + nodal)
         x = np.repeat((lo + multis * h)[:, None, :], pts.shape[0], axis=1)
         x[:, :, free] += pts * h[free]
         vals = sigma(x.reshape(-1, dim)).reshape(x.shape[:2] + (dim, dim))
-        coeffs[offset : offset + multis.shape[0]] = vals[:, :, i, j] @ w
-
-    for i in range(dim):
-        fill(grid.face_dims(i), [k for k in range(dim) if k != i], dofs.diag_face_offsets[i], i, i)
-        fill(grid.subdivisions, list(range(dim)), dofs.diag_volume_offsets[i], i, i)
-    for i, j in grid.axis_pairs():
-        free = [k for k in range(dim) if k not in (i, j)]
-        fill(grid.subface_dims(i, j), free, dofs.shear_offsets[(i, j)], i, j)
+        coeffs[start : start + multis.shape[0]] = vals[:, :, i, j] @ w
     return coeffs
 
 

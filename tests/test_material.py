@@ -89,6 +89,9 @@ def test_parameter_validation():
         LameParams(mu=-1.0, lam=1.0)
     with pytest.raises(ValueError):
         LameParams(mu=1.0, lam=-0.5)
+    for mu, lam in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            LameParams(mu=mu, lam=lam)
 
 
 def test_young_poisson_conversion():

@@ -13,6 +13,7 @@ from elastmix.solver import (
     SolveReport,
     solve,
 )
+from poly_utils import full_matrix
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -39,7 +40,7 @@ def test_matches_dense_factorization_oracle():
     assert system.n_total == 45
     sigma, u, _ = solve(system, load)
     dense = np.linalg.solve(
-        system.full_matrix().toarray(),
+        full_matrix(system).toarray(),
         np.concatenate([np.zeros(dofs.n_stress), load]),
     )
     x = np.concatenate([sigma.coeffs, u.coeffs])
@@ -81,7 +82,7 @@ def test_energy_identity():
 
 def test_solution_invariant_under_permutation():
     _, dofs, system, load = _assembled(n=2)
-    matrix = system.full_matrix().tocsr()
+    matrix = full_matrix(system).tocsr()
     rhs = np.concatenate([np.zeros(dofs.n_stress), load])
     rng = np.random.default_rng(29)
     perm = rng.permutation(matrix.shape[0])
@@ -99,7 +100,7 @@ def test_solution_invariant_under_permutation():
 def test_minres_agrees_with_direct():
     _, dofs, system, load = _assembled(n=2)
     dense = np.linalg.solve(
-        system.full_matrix().toarray(),
+        full_matrix(system).toarray(),
         np.concatenate([np.zeros(dofs.n_stress), load]),
     )
     sigma_m, u_m, report = solve(system, load, tol=1e-9, method="minres")
@@ -248,13 +249,13 @@ def test_report_setup_time_and_restarts():
 
 def test_solve_builds_no_full_matrix(monkeypatch):
     # MINRES applies [[M, B^T], [B, 0]] block by block; the assembled copy is
-    # only for export and tests
+    # only for tests
     _, _, system, load = _assembled(n=8)
 
-    def copy_not_allowed(self):
+    def copy_not_allowed(*args, **kwargs):
         raise AssertionError("solve built the full block matrix")
 
-    monkeypatch.setattr(SaddleSystem, "full_matrix", copy_not_allowed)
+    monkeypatch.setattr(sp, "bmat", copy_not_allowed)
     sigma_h, u_h, report = solve(system, load)
     residual = np.concatenate(
         [system.M @ sigma_h.coeffs + system.B.T @ u_h.coeffs, system.B @ sigma_h.coeffs - load]

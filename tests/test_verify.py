@@ -147,7 +147,7 @@ def test_superclose_unit_volume_coefficient():
     dofs = build_dof_map(grid)
     base = np.zeros(dofs.n_stress)
     bumped = base.copy()
-    bumped[dofs.diag_volume_index(0, (0, 0))] = 1.0
+    bumped[dofs.element_stress[0, 2]] = 1.0  # local DOF 2: the volume DOF of s_00
     zeros_u = DisplacementField(dofs, np.zeros(dofs.n_disp))
     rec = superclose_norms(
         StressField(dofs, bumped), StressField(dofs, base), zeros_u, zeros_u
