@@ -1,25 +1,26 @@
 """Manufactured exact solutions on the unit box with zero boundary displacement.
 
-Both families use the same displacement in every component, u_i = U(x) with
-U a product of one-dimensional factors vanishing at 0 and 1.  Writing
-G_j = dU/dx_j, the gradient rows are identical, (grad u)_{ij} = G_j, so
+Every solution is separable and the same in every component, u_i = U(x) =
+prod_k phi(x_k), with a one-dimensional factor phi vanishing at 0 and 1.
+Writing G_j = dU/dx_j, the gradient rows are identical, (grad u)_{ij} = G_j, so
 
     eps_ij = (G_i + G_j) / 2,
     sigma_ij = mu (G_i + G_j) + lam (sum_k G_k) delta_ij,
     f_i = mu (d_i G_i + sum_j d_j G_j) + mu sum_{j != i} d_j G_i
           + lam d_i (sum_k G_k).
 
-With second derivatives d_i G_i = U'' along axis i and the mixed terms
-H_ij = d_j G_i (symmetric), this collapses to
+With P_S the product of phi(x_k) over the axes k not in S, G_j = phi'(x_j) P_j,
+d_j G_j = phi''(x_j) P_j and the mixed terms H_ij = d_j G_i = phi'(x_i) phi'(x_j)
+P_ij, so in any dimension n >= 2
 
-    f_i = (mu + lam) * (d_i G_i + sum_{j != i} H_ij) + mu * sum_j d_j G_j,
+    f_i = (mu + lam) * (d_i G_i + sum_{j != i} H_ij) + mu * sum_j d_j G_j.
 
-which is what the closed forms below implement; tests cross-check them with
-central finite differences of the stress.
+One builder implements this; each factory only names phi, phi' and phi''.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,91 +61,66 @@ class ExactSolution:
         return out
 
 
-def _check_dim(n: int) -> None:
-    if n not in (2, 3):
-        raise ValueError(f"manufactured solutions support dimensions 2 and 3, got {n}")
+def _separable(
+    name: str,
+    n: int,
+    material: LameParams,
+    phi: Callable[[np.ndarray], np.ndarray],
+    dphi: Callable[[np.ndarray], np.ndarray],
+    ddphi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> ExactSolution:
+    """The solution of the module docstring; ``ddphi(x, phi(x))`` gives phi''."""
+    if n < 2:
+        raise ValueError(f"manufactured solutions need dimension n >= 2, got {n}")
 
+    def rest(p: np.ndarray, *skip: int) -> np.ndarray:  # P_skip
+        return math.prod(p[:, k] for k in range(n) if k not in skip)
 
-def _prod_except(factors: np.ndarray, skip: tuple[int, ...]) -> np.ndarray:
-    """Product of per-axis factor columns, omitting the listed axes."""
-    keep = [k for k in range(factors.shape[-1]) if k not in skip]
-    return np.prod(factors[..., keep], axis=-1)
+    def rest_columns(p: np.ndarray) -> np.ndarray:  # P_j in column j
+        return np.stack([rest(p, j) for j in range(n)], axis=-1)
+
+    def u(x: np.ndarray) -> np.ndarray:
+        return np.repeat(rest(phi(np.atleast_2d(x)))[:, None], n, axis=-1)
+
+    def grad_u(x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(x)
+        g = dphi(x) * rest_columns(phi(x))
+        return np.repeat(g[:, None, :], n, axis=1)
+
+    def f(x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(x)
+        p, d = phi(x), dphi(x)
+        own = rest_columns(p)
+        own *= ddphi(x, p)  # d_j G_j
+        out = own + np.stack(  # d_i G_i + sum_{j != i} H_ij
+            [sum(d[:, i] * d[:, j] * rest(p, i, j) for j in range(n) if j != i) for i in range(n)],
+            axis=-1,
+        )
+        out *= material.mu + material.lam
+        out += material.mu * sum(own.T)[:, None]
+        return out
+
+    return ExactSolution(name, n, material, u, grad_u, f)
 
 
 def sine_solution(n: int, material: LameParams) -> ExactSolution:
     """u_i = prod_k sin(pi x_k) in every component."""
-    _check_dim(n)
-    mu, lam = material.mu, material.lam
-    pi = np.pi
-
-    def u(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.repeat(np.prod(np.sin(pi * x), axis=-1)[:, None], n, axis=-1)
-
-    def grad_u(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        s = np.sin(pi * x)
-        c = np.cos(pi * x)
-        g = np.empty((x.shape[0], n))
-        for j in range(n):
-            g[:, j] = pi * c[:, j] * _prod_except(s, (j,))
-        return np.repeat(g[:, None, :], n, axis=1)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        s = np.sin(pi * x)
-        c = np.cos(pi * x)
-        big_s = np.prod(s, axis=-1)
-        out = np.empty((x.shape[0], n))
-        for i in range(n):
-            mixed = np.zeros(x.shape[0])
-            for j in range(n):
-                if j != i:
-                    mixed += c[:, i] * c[:, j] * _prod_except(s, (i, j))
-            out[:, i] = (
-                -(mu * (n + 1) + lam) * pi**2 * big_s
-                + (mu + lam) * pi**2 * mixed
-            )
-        return out
-
-    return ExactSolution("sine", n, material, u, grad_u, f)
+    return _separable(
+        "sine", n, material,
+        lambda x: np.sin(np.pi * x),
+        lambda x: np.pi * np.cos(np.pi * x),
+        lambda x, p: -np.pi**2 * p,
+    )
 
 
 def polynomial_solution(n: int, material: LameParams) -> ExactSolution:
     """u_i = prod_k x_k (1 - x_k); all derived fields are polynomial."""
-    _check_dim(n)
-    mu, lam = material.mu, material.lam
-
-    def u(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.repeat(np.prod(x * (1.0 - x), axis=-1)[:, None], n, axis=-1)
-
-    def grad_u(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        g_fac = x * (1.0 - x)
-        g = np.empty((x.shape[0], n))
-        for j in range(n):
-            g[:, j] = (1.0 - 2.0 * x[:, j]) * _prod_except(g_fac, (j,))
-        return np.repeat(g[:, None, :], n, axis=1)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        g_fac = x * (1.0 - x)
-        d_fac = 1.0 - 2.0 * x
-        out = np.empty((x.shape[0], n))
-        lap = np.zeros(x.shape[0])
-        for j in range(n):
-            lap += -2.0 * _prod_except(g_fac, (j,))
-        for i in range(n):
-            own = -2.0 * _prod_except(g_fac, (i,))
-            mixed = np.zeros(x.shape[0])
-            for j in range(n):
-                if j != i:
-                    mixed += d_fac[:, i] * d_fac[:, j] * _prod_except(g_fac, (i, j))
-            out[:, i] = (mu + lam) * (own + mixed) + mu * lap
-        return out
-
-    return ExactSolution("polynomial", n, material, u, grad_u, f)
+    return _separable(
+        "polynomial", n, material,
+        lambda x: x * (1.0 - x),
+        lambda x: 1.0 - 2.0 * x,
+        lambda x, p: np.full_like(x, -2.0),
+    )
 
 
 SOLUTIONS = {

@@ -50,31 +50,32 @@ def tensor_rule(npts: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-# Cells per block of the element-wise quadrature loops.  A block's
-# temporaries (points, field values, differences) then take a few MiB
-# whatever the mesh size, and a block is still large enough that the
+# Quadrature points per block of the element-wise quadrature loops (4096 cells
+# of the 2D 5-point rule).  A block's temporaries then take a few MiB whatever
+# the mesh size and dimension, and a block is still large enough that the
 # vectorized evaluators spend their time on arithmetic, not call overhead.
-ELEMENT_BLOCK = 4096
+BLOCK_POINTS = 4096 * 25
 
 
 def element_blocks(
     grid: TensorGrid, pts: np.ndarray, dims: tuple[int, ...] | None = None
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Walk the cells of a lattice in flat order, ELEMENT_BLOCK cells at a time.
+    """Walk the cells of a lattice in flat order, BLOCK_POINTS points at a time.
 
     The cells are the multi-indices m over ``dims`` (default: the grid's
     elements), axis 0 fastest; cell m is the box with lower corner
     lo + m * h and the grid's spacing h.  Face and subface families are such
     lattices too, with reference points that are 0 along their fixed axes.
-    ``pts`` are reference points in [0, 1]^dim, shape (q, dim).  Yields the
-    slice of flat cell indices and the physical points of that block, shape
-    (block size, q, dim).
+    ``pts`` are reference points in [0, 1]^dim, shape (q, dim); a block holds
+    BLOCK_POINTS // q cells (at least one).  Yields the slice of flat cell
+    indices and the physical points of that block, shape (block size, q, dim).
     """
     dims = grid.subdivisions if dims is None else tuple(dims)
     lo, h = grid.lo, grid.spacing
     total = int(np.prod(dims))
-    for start in range(0, total, ELEMENT_BLOCK):
-        block = slice(start, min(start + ELEMENT_BLOCK, total))
+    cells = max(1, BLOCK_POINTS // len(pts))
+    for start in range(0, total, cells):
+        block = slice(start, min(start + cells, total))
         multi = np.stack(
             np.unravel_index(np.arange(block.start, block.stop), dims, order="F"), axis=-1
         )

@@ -75,6 +75,11 @@ class StudyConfig:
             raise ValueError("quad_points must be at least 2")
         if not self.solver_tol > 0:
             raise ValueError(f"solver tolerance must be positive, got {self.solver_tol}")
+        if self.probe_budget < 1:
+            raise ValueError(f"probe budget must be at least 1, got {self.probe_budget}")
+        # the CSV is written after the last level, so check its directory now
+        if not Path(self.output).parent.is_dir():
+            raise ValueError(f"output directory of {self.output!r} does not exist")
         # materialize early so a bad mu/lam, solution name or dimension
         # surfaces as a config error
         solution_by_name(self.solution, self.dim, LameParams(self.mu, self.lam))

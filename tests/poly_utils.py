@@ -17,15 +17,17 @@ from elastmix.element import (
 from elastmix.grid import TensorGrid, build_grid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.material import apply_compliance
-from elastmix.quadrature import ELEMENT_BLOCK, tensor_rule
+from elastmix.quadrature import BLOCK_POINTS, tensor_rule
 
 
 def partial_block_grid(dim):
-    """Anisotropic box whose cell count (2D N=70, 3D N=17) ends in a partial block."""
+    """Anisotropic box whose cell count (2D N=70, 3D N=17) ends in a partial
+    block of the default 5-point volume rule."""
     n = {2: 70, 3: 17}[dim]
     box = ((0.0, 1.0), (-0.5, 2.0), (0.25, 0.75))[:dim]
     grid = TensorGrid(dim, box, (n,) * dim)
-    assert grid.n_elements > ELEMENT_BLOCK and grid.n_elements % ELEMENT_BLOCK
+    cells = BLOCK_POINTS // 5**dim
+    assert grid.n_elements > cells and grid.n_elements % cells
     return grid
 
 

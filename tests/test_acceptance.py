@@ -268,3 +268,32 @@ def test_criterion_9_solver_fidelity(study_2d, study_3d):
         f"oracle gap {oracle_gap:.2e} (tol 1e-9), "
         f"worst energy residual {energy_worst:.2e} (tol 1e-9)",
     )
+
+
+def test_criterion_10_four_dimensions(tmp_path):
+    start = time.perf_counter()
+    result = run_study(
+        StudyConfig(
+            dim=4, levels=(4, 6, 8), mu=0.5, lam=1.0,
+            solution="sine", output=str(tmp_path / "study4d.csv"),
+        )
+    )
+    elapsed = time.perf_counter() - start
+    rates = result.rates
+    energy_worst = max(lv.energy_residual for lv in result.levels)
+    ok = (
+        rates["err_sigma_hdiv"] >= 0.9
+        and rates["err_u_l2"] >= 0.9
+        and rates["super_sigma_hdiv"] >= 1.6
+        and rates["super_u_l2"] >= 1.6
+        and energy_worst <= 1e-9
+    )
+    _report(
+        "criterion 10 (4D rates, superclose rates and energy identity)",
+        ok,
+        f"stress Hdiv rate {rates['err_sigma_hdiv']:.3f}, displacement rate "
+        f"{rates['err_u_l2']:.3f} (need >= 0.9), superclose Hdiv rate "
+        f"{rates['super_sigma_hdiv']:.3f}, displacement rate {rates['super_u_l2']:.3f} "
+        f"(need >= 1.6), worst energy residual {energy_worst:.2e} (tol 1e-9), "
+        f"study {elapsed:.1f}s",
+    )

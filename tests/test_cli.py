@@ -130,14 +130,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
     assert main(["--dim", "1", "--levels", "2,4"]) == 2
     # each of these used to pass the check and fail later with a traceback
+    # or, for the probe budget, a skipped probe on every level
     for argv in (
         ["--tol", "0"],
         ["--levels", "0,4,8"],
-        ["--dim", "4", "--levels", "2,3,4"],
         ["--lambda", "nan"],
+        ["--levels", "2,4,8", "--output", str(tmp_path / "missing" / "study.csv")],
+        ["--probe-infsup", "--probe-budget", "-1"],
+        ["--probe-budget", "0"],
     ):
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_four_dimensions(tmp_path, capsys):
+    out = tmp_path / "study4d.csv"
+    assert main(["--dim", "4", "--levels", "2,3,4", "--output", str(out)]) == 0
+    assert "rates" in capsys.readouterr().out
+    rows = _read_csv(out)
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3", "rate"]
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):

@@ -258,13 +258,16 @@ def test_blocked_interpolation_matches_whole_array(dim):
     assert np.abs(u - ref_u).max() <= 1e-13 * np.abs(ref_u).max()
 
 
-def test_field_stage_memory_bounded_by_block():
-    # 65 536 elements: whole-mesh quadrature arrays of interp_stress and
-    # error_norms need about 200 MiB here; blocked, the peak above what is
-    # live before the calls is one block's temporaries plus the outputs
-    grid = unit_grid(2, 256)
+@pytest.mark.parametrize("dim, n", [(2, 256), (3, 16), (4, 6)])
+def test_field_stage_memory_bounded_by_block(dim, n):
+    # 65 536 elements in 2D: whole-mesh quadrature arrays of interp_stress
+    # and error_norms need about 200 MiB there; blocked, the peak above what
+    # is live before the calls is one block's temporaries plus the outputs.
+    # Blocks hold a fixed number of points, so the same bound holds in 3D
+    # and 4D.
+    grid = unit_grid(dim, n)
     dofs = build_dof_map(grid)
-    exact = sine_solution(2, MAT)
+    exact = sine_solution(dim, MAT)
     u_h = DisplacementField(dofs, np.zeros(dofs.n_disp))
     tracemalloc.start()
     try:

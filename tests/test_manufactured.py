@@ -20,7 +20,7 @@ def _boundary_points(n, rng, count=40):
 
 
 @pytest.mark.parametrize("factory", [sine_solution, polynomial_solution])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_displacement_vanishes_on_boundary(factory, n):
     exact = factory(n, MAT)
     pts = _boundary_points(n, np.random.default_rng(1))
@@ -28,7 +28,7 @@ def test_displacement_vanishes_on_boundary(factory, n):
 
 
 @pytest.mark.parametrize("factory", [sine_solution, polynomial_solution])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_gradient_matches_finite_differences(factory, n):
     exact = factory(n, MAT)
     rng = np.random.default_rng(2)
@@ -42,7 +42,7 @@ def test_gradient_matches_finite_differences(factory, n):
 
 
 @pytest.mark.parametrize("factory", [sine_solution, polynomial_solution])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_load_matches_divergence_by_finite_differences(factory, n):
     exact = factory(n, MAT)
     rng = np.random.default_rng(3)
@@ -77,7 +77,7 @@ def test_polynomial_strain_component():
 
 
 @pytest.mark.parametrize("factory", [sine_solution, polynomial_solution])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_constitutive_round_trip(factory, n):
     exact = factory(n, MAT)
     rng = np.random.default_rng(5)
@@ -95,7 +95,7 @@ def test_sigma_exactly_symmetric(factory):
 
 
 @pytest.mark.parametrize("factory", [sine_solution, polynomial_solution])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_closed_form_sigma_equals_stiffness_of_strain(factory, n):
     exact = factory(n, MAT)
     pts = np.random.default_rng(7).uniform(0, 1, size=(200, n))
@@ -103,10 +103,11 @@ def test_closed_form_sigma_equals_stiffness_of_strain(factory, n):
 
 
 def test_unsupported_dimension_rejected():
-    with pytest.raises(ValueError):
-        sine_solution(4, MAT)
-    with pytest.raises(ValueError):
-        polynomial_solution(1, MAT)
+    for factory in (sine_solution, polynomial_solution):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                factory(n, MAT)
+        assert factory(4, MAT).dim == 4
 
 
 def test_solution_registry():
