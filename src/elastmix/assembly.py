@@ -41,7 +41,7 @@ from .element import (
 )
 from .grid import TensorGrid, flat_strides
 from .material import LameParams
-from .quadrature import element_blocks, tensor_rule
+from .quadrature import QUAD_POINTS, element_blocks, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -150,17 +150,15 @@ def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap | None = None)
 
 
 def assemble_load(
-    grid: TensorGrid,
-    f: Callable[[np.ndarray], np.ndarray],
-    dofs: DofMap,
-    npts: int = 5,
+    grid: TensorGrid, f: Callable[[np.ndarray], np.ndarray], dofs: DofMap
 ) -> np.ndarray:
-    """Load vector (f, psi_b) by tensor Gauss quadrature with ``npts`` per axis.
+    """Load vector (f, psi_b) by the tensor Gauss rule of QUAD_POINTS per axis.
 
-    ``f`` maps points of shape (m, dim) to vectors of shape (m, dim).
+    ``f`` maps points of shape (m, dim) to vectors of shape (m, dim); these
+    moments of any such field are what ``project_displacement`` solves against.
     """
     dim = grid.dim
-    pts, w = tensor_rule(npts, dim)
+    pts, w = tensor_rule(QUAD_POINTS, dim)
     psi = eval_disp_basis(dim, pts)
     load = np.zeros(dofs.n_disp)
     for block, x in element_blocks(grid, pts):

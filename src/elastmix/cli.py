@@ -21,20 +21,6 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-_CONFIG_KEYS = {
-    "dim": "dim",
-    "levels": "levels",
-    "mu": "mu",
-    "lambda": "lam",
-    "solution": "solution",
-    "output": "output",
-    "probe_infsup": "probe_infsup",
-    "probe_budget": "probe_budget",
-    "quad_points": "quad_points",
-    "tol": "solver_tol",
-}
-
-
 def _apply_thread_cap() -> None:
     threads = os.environ.get("ELASTMIX_THREADS")
     if threads:
@@ -49,8 +35,39 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}") from None
 
 
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"bad boolean {text!r}; use 1/0, true/false, yes/no or on/off") from None
+
+
+# config-file key -> (StudyConfig field, converter of the value)
+_CONFIG_KEYS = {
+    "dim": ("dim", int),
+    "levels": ("levels", _parse_levels),
+    "mu": ("mu", float),
+    "lambda": ("lam", float),
+    "solution": ("solution", str),
+    "output": ("output", str),
+    "probe_infsup": ("probe_infsup", _parse_bool),
+    "probe_budget": ("probe_budget", int),
+    "tol": ("solver_tol", float),
+}
+
+
 def parse_config_file(path: str) -> dict:
-    """Read a key = value configuration file; '#' starts a comment."""
+    """Read a key = value configuration file; '#' starts a comment.
+
+    A line that cannot be read or a value that cannot be converted raises
+    ValueError naming the file and line.
+    """
     values: dict = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -64,17 +81,11 @@ def parse_config_file(path: str) -> dict:
             value = value.strip().strip("\"'")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            field = _CONFIG_KEYS[key]
-            if field == "levels":
-                values[field] = _parse_levels(value)
-            elif field in ("dim", "quad_points", "probe_budget"):
-                values[field] = int(value)
-            elif field in ("mu", "lam", "solver_tol"):
-                values[field] = float(value)
-            elif field == "probe_infsup":
-                values[field] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                values[field] = value
+            field, convert = _CONFIG_KEYS[key]
+            try:
+                values[field] = convert(value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -108,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--probe-budget", type=int, help="max unknowns for the stability probes"
     )
-    parser.add_argument(
-        "--quad-points", type=int, help="quadrature points per axis (default 5)"
-    )
     parser.add_argument("--tol", dest="solver_tol", type=float, help="solver tolerance")
     return parser
 
@@ -127,7 +135,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         values: dict = {}
         if args.config:
             values.update(parse_config_file(args.config))
-        for field in _CONFIG_KEYS.values():
+        for field, _ in _CONFIG_KEYS.values():
             flag = getattr(args, field, None)
             if flag is not None:
                 values[field] = flag

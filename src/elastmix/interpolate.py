@@ -9,8 +9,8 @@ Because every functional is attached to a single global entity the result is
 conforming by construction.
 
 The displacement projection is the elementwise L2-best approximation with
-component i in span{1, x_i}; only the right-hand moments need quadrature,
-the 2x2 Gram of {1, xi} per unit volume is [[1, 1/2], [1/2, 1/3]] exactly.
+component i in span{1, x_i}: the exact local displacement mass solved
+against the moments (u, psi_b), i.e. the load vector of u.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
-from .assembly import DofMap
-from .element import eval_disp_basis, eval_stress_basis, eval_stress_basis_div
+from .assembly import DofMap, assemble_load
+from .element import disp_mass, eval_disp_basis, eval_stress_basis, eval_stress_basis_div
 from .grid import TensorGrid
-from .quadrature import element_blocks, tensor_rule
-
-# Inverse of the unit-volume Gram [[1, 1/2], [1/2, 1/3]] of {1, xi}.
-_MOMENT_SOLVE = np.array([[4.0, -6.0], [-6.0, 12.0]])
+from .quadrature import QUAD_POINTS, element_blocks, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,7 @@ class DisplacementField:
 
 
 def interp_stress(
-    grid: TensorGrid,
-    dofs: DofMap,
-    sigma: Callable[[np.ndarray], np.ndarray],
-    npts: int = 5,
+    grid: TensorGrid, dofs: DofMap, sigma: Callable[[np.ndarray], np.ndarray]
 ) -> StressField:
     """Interpolate a smooth symmetric-tensor field into the stress space.
 
@@ -107,7 +102,7 @@ def interp_stress(
         lattices.setdefault(nodal, []).append((start, i, j))
     for nodal, targets in lattices.items():
         free = [k for k in range(dim) if not nodal[k]]
-        pts, w = tensor_rule(npts, len(free))
+        pts, w = tensor_rule(QUAD_POINTS, len(free))
         ref = np.zeros((pts.shape[0], dim))
         ref[:, free] = pts
         dims = tuple(n + c for n, c in zip(grid.subdivisions, nodal))
@@ -120,22 +115,16 @@ def interp_stress(
 
 
 def project_displacement(
-    grid: TensorGrid,
-    dofs: DofMap,
-    u: Callable[[np.ndarray], np.ndarray],
-    npts: int = 5,
+    grid: TensorGrid, dofs: DofMap, u: Callable[[np.ndarray], np.ndarray]
 ) -> DisplacementField:
-    """Elementwise L2 projection of a vector field onto the displacement space."""
-    dim = grid.dim
-    pts, w = tensor_rule(npts, dim)
-    vol = grid.element_volume
-    coeffs = np.zeros(dofs.n_disp)
-    for block, x in element_blocks(grid, pts):
-        vals = np.asarray(u(x.reshape(-1, dim))).reshape(x.shape)
-        m0 = vol * np.einsum("eqi,q->ei", vals, w)
-        m1 = vol * np.einsum("eqi,qi,q->ei", vals, pts, w)
-        local = np.empty((x.shape[0], 2 * dim))
-        local[:, 0::2] = (_MOMENT_SOLVE[0, 0] * m0 + _MOMENT_SOLVE[0, 1] * m1) / vol
-        local[:, 1::2] = (_MOMENT_SOLVE[1, 0] * m0 + _MOMENT_SOLVE[1, 1] * m1) / vol
-        coeffs[dofs.element_disp[block]] = local
+    """Elementwise L2 projection of a vector field onto the displacement space.
+
+    The local mass is solved against the moments (u, psi_b) of ``assemble_load``,
+    in place of the gathered moments, so no third array of their size is held.
+    """
+    moments = assemble_load(grid, u, dofs)[dofs.element_disp]
+    mass = disp_mass(grid.element_box((0,) * grid.dim))
+    local = scipy.linalg.solve(mass, moments.T, overwrite_b=True, assume_a="pos")
+    coeffs = np.empty(dofs.n_disp)
+    coeffs[dofs.element_disp] = local.T
     return DisplacementField(dofs, coeffs)

@@ -1,5 +1,5 @@
-"""Tensor-product Gauss-Legendre rules on [0, 1]^d and the block walk over cells
-that every element-wise quadrature loop runs through."""
+"""Tensor Gauss-Legendre rules on [0, 1]^d, the fixed rule of the data and error
+integrals, and the block walk over cells that every element-wise loop runs."""
 
 from __future__ import annotations
 
@@ -50,11 +50,17 @@ def tensor_rule(npts: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+# Gauss points per axis of the one rule behind the load (and projection)
+# moments, the interpolation averages and the error norms.  It is exact to
+# degree 9, so the polynomial solution's integrands (degree <= 4 per axis)
+# carry no quadrature error; sine rates match those of 2, 3 and 8 points.
+QUAD_POINTS = 5
+
 # Quadrature points per block of the element-wise quadrature loops (4096 cells
-# of the 2D 5-point rule).  A block's temporaries then take a few MiB whatever
-# the mesh size and dimension, and a block is still large enough that the
-# vectorized evaluators spend their time on arithmetic, not call overhead.
-BLOCK_POINTS = 4096 * 25
+# of the 2D rule).  A block's temporaries then take a few MiB whatever the mesh
+# size and dimension, and a block is still large enough that the vectorized
+# evaluators spend their time on arithmetic, not call overhead.
+BLOCK_POINTS = 4096 * QUAD_POINTS**2
 
 
 def element_blocks(

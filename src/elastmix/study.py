@@ -25,6 +25,7 @@ from .grid import TensorGrid, unit_grid
 from .interpolate import interp_stress, project_displacement
 from .manufactured import solution_by_name
 from .material import LameParams
+from .quadrature import QUAD_POINTS
 from .solver import SolveReport, solve
 from .verify import (
     ErrorRecord,
@@ -42,10 +43,17 @@ BASE_COLUMNS = (
     "solve_residual", "wall_time_s",
 )
 PROBE_COLUMNS = ("beta_h", "alpha_kernel")
-RATE_COLUMNS = (
-    "err_sigma_l2", "err_sigma_div", "err_sigma_hdiv", "err_u_l2",
-    "super_sigma_l2", "super_sigma_hdiv", "super_u_l2",
-)
+# CSV column -> ErrorRecord field of every measured norm, in column order
+_RECORD_FIELD = {
+    "err_sigma_l2": "sigma_l2",
+    "err_sigma_div": "sigma_div",
+    "err_sigma_hdiv": "sigma_hdiv",
+    "err_u_l2": "u_l2",
+    "super_sigma_l2": "super_sigma_l2",
+    "super_sigma_hdiv": "super_sigma_hdiv",
+    "super_u_l2": "super_u_l2",
+}
+RATE_COLUMNS = tuple(_RECORD_FIELD)
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,6 @@ class StudyConfig:
     output: str = "study.csv"
     probe_infsup: bool = False
     probe_budget: int = 3000
-    quad_points: int = 5
     solver_tol: float = 1e-11
 
     def __post_init__(self):
@@ -71,15 +78,16 @@ class StudyConfig:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError(f"levels must be strictly increasing, got {self.levels}")
-        if self.quad_points < 2:
-            raise ValueError("quad_points must be at least 2")
         if not self.solver_tol > 0:
             raise ValueError(f"solver tolerance must be positive, got {self.solver_tol}")
         if self.probe_budget < 1:
             raise ValueError(f"probe budget must be at least 1, got {self.probe_budget}")
-        # the CSV is written after the last level, so check its directory now
+        # the CSV is written after the last level, so check its path now; the
+        # markdown table goes next to it and must not overwrite it
         if not Path(self.output).parent.is_dir():
             raise ValueError(f"output directory of {self.output!r} does not exist")
+        if Path(self.output).suffix == ".md":
+            raise ValueError(f"output {self.output!r} would be overwritten by the .md table")
         # materialize early so a bad mu/lam, solution name or dimension
         # surfaces as a config error
         solution_by_name(self.solution, self.dim, LameParams(self.mu, self.lam))
@@ -107,22 +115,18 @@ class StudyResult:
 
 
 def run_level(
-    grid: TensorGrid,
-    material: LameParams,
-    solution: str,
-    quad_points: int = 5,
-    solver_tol: float = 1e-11,
+    grid: TensorGrid, material: LameParams, solution: str, solver_tol: float = 1e-11
 ) -> LevelResult:
     """Assemble, solve and measure one grid."""
     start = time.perf_counter()
     exact = solution_by_name(solution, grid.dim, material)
     dofs = build_dof_map(grid)
     system = assemble(grid, material, dofs)
-    load = assemble_load(grid, exact.f, dofs, npts=quad_points)
+    load = assemble_load(grid, exact.f, dofs)
     sigma_h, u_h, report = solve(system, load, tol=solver_tol)
-    pi_sigma = interp_stress(grid, dofs, exact.sigma, npts=quad_points)
-    ph_u = project_displacement(grid, dofs, exact.u, npts=quad_points)
-    errors = error_norms(grid, exact, sigma_h, u_h, npts=quad_points)
+    pi_sigma = interp_stress(grid, dofs, exact.sigma)
+    ph_u = project_displacement(grid, dofs, exact.u)
+    errors = error_norms(grid, exact, sigma_h, u_h)
     close = superclose_norms(sigma_h, pi_sigma, u_h, ph_u)
     record = replace(
         errors,
@@ -148,10 +152,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     levels: list[LevelResult] = []
     for n in config.levels:
         grid = unit_grid(config.dim, n)
-        level = run_level(
-            grid, material, config.solution,
-            quad_points=config.quad_points, solver_tol=config.solver_tol,
-        )
+        level = run_level(grid, material, config.solution, solver_tol=config.solver_tol)
         if config.probe_infsup:
             n_total = level.record.stress_dofs + level.record.disp_dofs
             if n_total <= config.probe_budget:
@@ -196,17 +197,6 @@ def run_study(config: StudyConfig) -> StudyResult:
     write_csv(result, csv_path)
     write_markdown(result, csv_path, md_path)
     return result
-
-
-_RECORD_FIELD = {
-    "err_sigma_l2": "sigma_l2",
-    "err_sigma_div": "sigma_div",
-    "err_sigma_hdiv": "sigma_hdiv",
-    "err_u_l2": "u_l2",
-    "super_sigma_l2": "super_sigma_l2",
-    "super_sigma_hdiv": "super_sigma_hdiv",
-    "super_u_l2": "super_u_l2",
-}
 
 
 def _fmt(value: float | None) -> str:
@@ -267,7 +257,7 @@ def write_markdown(result: StudyResult, csv_path: Path, md_path: Path) -> None:
         "",
         f"- mu = {cfg.mu}, lambda = {cfg.lam}",
         f"- levels N = {', '.join(str(n) for n in cfg.levels)}",
-        f"- quadrature points per axis: {cfg.quad_points}",
+        f"- quadrature points per axis: {QUAD_POINTS}",
     ]
     if result.rate_fit_levels:
         lines.append(

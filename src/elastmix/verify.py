@@ -1,11 +1,12 @@
 """Error norms, superclose norms, rate fitting and stability probes.
 
 Continuous-versus-discrete errors are measured by elementwise tensor Gauss
-quadrature of the squared pointwise differences; the divergence of the exact
-stress is taken from the load evaluator, which is exact for manufactured
-solutions and avoids differentiating the stress.  Discrete-versus-discrete
-(superclose) norms are quadratic forms of coefficient differences in the
-local Gram matrices, hence carry no quadrature error at all.
+quadrature (QUAD_POINTS per axis) of the squared pointwise differences; the
+divergence of the exact stress is taken from the load evaluator, which is
+exact for manufactured solutions and avoids differentiating the stress.
+Discrete-versus-discrete (superclose) norms are quadratic forms of
+coefficient differences in the local Gram matrices, hence carry no
+quadrature error at all.
 
 The stability probes are sparse shift-invert eigensolves: the inf-sup
 constant is the square root of the smallest eigenvalue of B S^-1 B^T against
@@ -35,7 +36,7 @@ from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
 from .manufactured import ExactSolution
 from .material import LameParams
-from .quadrature import element_blocks, tensor_rule
+from .quadrature import QUAD_POINTS, element_blocks, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,13 @@ class ErrorRecord:
 
 
 def error_norms(
-    grid: TensorGrid,
-    exact: ExactSolution,
-    sigma_h: StressField,
-    u_h: DisplacementField,
-    npts: int = 5,
+    grid: TensorGrid, exact: ExactSolution, sigma_h: StressField, u_h: DisplacementField
 ) -> ErrorRecord:
     """L2 and H(div) errors of the stress and L2 error of the displacement."""
     if sigma_h.dofs.grid is not grid or u_h.dofs.grid is not grid:
         raise ValueError("fields do not live on the given grid")
     dim = grid.dim
-    pts, w = tensor_rule(npts, dim)
+    pts, w = tensor_rule(QUAD_POINTS, dim)
     vol = grid.element_volume
     sigma_l2_sq = sigma_div_sq = u_l2_sq = 0.0
     for block, x in element_blocks(grid, pts):

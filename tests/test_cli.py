@@ -138,9 +138,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ["--levels", "2,4,8", "--output", str(tmp_path / "missing" / "study.csv")],
         ["--probe-infsup", "--probe-budget", "-1"],
         ["--probe-budget", "0"],
+        # the markdown table would overwrite the CSV
+        ["--levels", "2,4,8", "--output", str(tmp_path / "out.md")],
     ):
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out.md").exists()
+    # the quadrature rule is fixed, so there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["--quad-points", "5"])
+    assert exc.value.code == 2
 
 
 def test_cli_four_dimensions(tmp_path, capsys):
@@ -188,7 +195,6 @@ def test_config_file_roundtrip(tmp_path):
         'solution = "polynomial"\n'
         "mu = 0.4\n"
         "lambda = 2.0\n"
-        "quad_points = 4\n"
         "probe_infsup = false\n"
     )
     values = parse_config_file(str(cfg))
@@ -198,7 +204,6 @@ def test_config_file_roundtrip(tmp_path):
         "solution": "polynomial",
         "mu": 0.4,
         "lam": 2.0,
-        "quad_points": 4,
         "probe_infsup": False,
     }
 
@@ -223,6 +228,28 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ValueError, match="expected key = value"):
         parse_config_file(str(worse))
     assert main(["--config", str(bad)]) == 2
+    # the quadrature rule is fixed, so its old key is unknown
+    bad.write_text("quad_points = 5\n")
+    with pytest.raises(ValueError, match="bad.cfg:1: unknown key"):
+        parse_config_file(str(bad))
+    assert main(["--config", str(bad)]) == 2
+    # a value that does not convert names its file and line
+    for line in ("levels = 4,x", "dim = two", "probe_infsup = maybe"):
+        bad.write_text(line + "\n")
+        with pytest.raises(ValueError, match="bad.cfg:1"):
+            parse_config_file(str(bad))
+        assert main(["--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1", True), ("true", True), ("Yes", True), ("on", True),
+     ("0", False), ("false", False), ("no", False), ("OFF", False)],
+)
+def test_config_file_booleans(tmp_path, text, value):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"probe_infsup = {text}\n")
+    assert parse_config_file(str(cfg)) == {"probe_infsup": value}
 
 
 def test_module_entry_point():

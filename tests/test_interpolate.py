@@ -278,3 +278,19 @@ def test_field_stage_memory_bounded_by_block(dim, n):
     finally:
         tracemalloc.stop()
     assert peak - before < 64 * 2**20
+
+
+def test_projection_holds_one_array_beside_its_result():
+    # 262 144 elements: the load-sized arrays (8 MiB each) outweigh a block's
+    # temporaries, so a third one (an out-of-place solve) breaks the bound
+    grid = unit_grid(2, 512)
+    dofs = build_dof_map(grid)
+    u = sine_solution(2, MAT).u
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        ph_u = project_displacement(grid, dofs, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.5 * ph_u.coeffs.nbytes
