@@ -41,7 +41,7 @@ from .element import (
 )
 from .grid import TensorGrid, flat_strides
 from .material import LameParams
-from .quadrature import QUAD_POINTS, element_blocks, tensor_rule
+from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,8 @@ def assemble_load(
     pts, w = tensor_rule(QUAD_POINTS, dim)
     psi = eval_disp_basis(dim, pts)
     load = np.zeros(dofs.n_disp)
-    for block, x in element_blocks(grid, pts):
-        fx = np.asarray(f(x.reshape(-1, dim))).reshape(x.shape)
-        local = grid.element_volume * np.einsum("eqi,bqi,q->eb", fx, psi, w)
+    for block, axes in element_blocks(grid):
+        local = grid.element_volume * np.einsum("eqi,bqi,q->eb", evaluate(f, axes), psi, w)
         load[dofs.element_disp[block]] = local
     return load
 

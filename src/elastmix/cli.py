@@ -22,10 +22,18 @@ _THREAD_ENV_VARS = (
 )
 
 def _apply_thread_cap() -> None:
+    """Copy ELASTMIX_THREADS (unset or empty: no cap) into the BLAS variables.
+
+    OpenBLAS reads 0 or a non-number as no setting, so anything but a positive
+    integer raises ValueError instead of silently dropping the cap.
+    """
     threads = os.environ.get("ELASTMIX_THREADS")
-    if threads:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = threads
+    if not threads:
+        return
+    if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+        raise ValueError(f"ELASTMIX_THREADS must be a positive integer, got {threads!r}")
+    for var in _THREAD_ENV_VARS:
+        os.environ[var] = threads
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -124,7 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _apply_thread_cap()
+    try:
+        _apply_thread_cap()
+    except ValueError as exc:
+        print(f"elastmix: configuration error: {exc}", file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
 

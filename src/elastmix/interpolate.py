@@ -24,7 +24,7 @@ import scipy.linalg
 from .assembly import DofMap, assemble_load
 from .element import disp_mass, eval_disp_basis, eval_stress_basis, eval_stress_basis_div
 from .grid import TensorGrid
-from .quadrature import QUAD_POINTS, element_blocks, tensor_rule
+from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,9 @@ def interp_stress(
     for (i, j), nodal, start in dofs.families:
         lattices.setdefault(nodal, []).append((start, i, j))
     for nodal, targets in lattices.items():
-        free = [k for k in range(dim) if not nodal[k]]
-        pts, w = tensor_rule(QUAD_POINTS, len(free))
-        ref = np.zeros((pts.shape[0], dim))
-        ref[:, free] = pts
-        dims = tuple(n + c for n, c in zip(grid.subdivisions, nodal))
-        for block, x in element_blocks(grid, ref, dims):
-            vals = sigma(x.reshape(-1, dim)).reshape(x.shape[:2] + (dim, dim))
+        _, w = tensor_rule(QUAD_POINTS, dim - sum(nodal))
+        for block, axes in element_blocks(grid, nodal):
+            vals = evaluate(sigma, axes)
             for start, i, j in targets:
                 coeffs[start + block.start : start + block.stop] = vals[:, :, i, j] @ w
 

@@ -16,17 +16,48 @@ P_ij, so in any dimension n >= 2
     f_i = (mu + lam) * (d_i G_i + sum_{j != i} H_ij) + mu * sum_j d_j G_j.
 
 One builder implements this; each factory only names phi, phi' and phi''.
+Each field is one formula over per-axis coordinates (``AxisField``): on a
+tensor-product block of quadrature points phi, phi' and phi'' run once per
+axis coordinate and the products broadcast, and on (m, n) points the same
+formula runs on the columns x[:, k].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .material import LameParams
+
+
+class AxisField:
+    """One field of a separable solution, written once over per-axis coordinates.
+
+    ``on_axes(axes)`` takes one coordinate array per axis, arrays that
+    broadcast against each other, and returns the values on their broadcast
+    shape with the ``rank`` value axes last.  On a tensor-product block of
+    points (``quadrature.element_blocks``) each axis holds only its own
+    coordinates, so phi, phi' and phi'' run on O(N q) values per axis and
+    the products broadcast.  The formula builds each component as one
+    contiguous array, so the result is a view with the value axes moved
+    last.  Called on points of shape (m, dim), the field applies the same
+    formula to the columns x[:, k] and returns a contiguous array.
+    """
+
+    def __init__(self, formula: Callable[[list[np.ndarray]], np.ndarray], rank: int):
+        self._formula = formula
+        self._rank = rank
+
+    def on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        rank = self._rank
+        return np.moveaxis(self._formula(list(axes)), range(rank), range(-rank, 0))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(x)
+        return np.ascontiguousarray(self.on_axes([x[:, k] for k in range(x.shape[1])]))
 
 
 @dataclass(frozen=True)
@@ -34,7 +65,9 @@ class ExactSolution:
     """Evaluators for displacement u, its gradient, stress sigma and load f.
 
     All evaluators are vectorized over points of shape (m, dim); u and f
-    return (m, dim), grad_u and sigma return (m, dim, dim).
+    return (m, dim), grad_u and sigma return (m, dim, dim).  ``stress`` is
+    sigma in closed form when the solution knows it (the separable solutions
+    here); without it sigma is formed from grad_u.
     """
 
     name: str
@@ -43,6 +76,7 @@ class ExactSolution:
     u: Callable[[np.ndarray], np.ndarray]
     grad_u: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
+    stress: Callable[[np.ndarray], np.ndarray] | None = None
 
     def strain(self, x: np.ndarray) -> np.ndarray:
         g = self.grad_u(x)
@@ -54,6 +88,8 @@ class ExactSolution:
         The strain of a gradient is symmetric by construction, so this skips
         the symmetry check of ``apply_stiffness`` and gives the same values.
         """
+        if self.stress is not None:
+            return self.stress(x)
         g = self.grad_u(x)
         out = self.material.mu * (g + np.swapaxes(g, -1, -2))
         diag = np.arange(self.dim)
@@ -69,38 +105,63 @@ def _separable(
     dphi: Callable[[np.ndarray], np.ndarray],
     ddphi: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> ExactSolution:
-    """The solution of the module docstring; ``ddphi(x, phi(x))`` gives phi''."""
+    """The solution of the module docstring; ``ddphi(x, phi(x))`` gives phi''.
+
+    Every formula takes the list of per-axis coordinates x_k (see AxisField).
+    """
     if n < 2:
         raise ValueError(f"manufactured solutions need dimension n >= 2, got {n}")
+    mu, lam = material.mu, material.lam
 
-    def rest(p: np.ndarray, *skip: int) -> np.ndarray:  # P_skip
-        return math.prod(p[:, k] for k in range(n) if k not in skip)
+    def rest(values: list, *skip: int) -> np.ndarray:  # P_skip
+        return math.prod(v for k, v in enumerate(values) if k not in skip)
 
-    def rest_columns(p: np.ndarray) -> np.ndarray:  # P_j in column j
-        return np.stack([rest(p, j) for j in range(n)], axis=-1)
+    def gradient(x: list) -> list:  # G_j = phi'(x_j) P_j
+        p = [phi(xk) for xk in x]
+        return [dphi(xj) * rest(p, j) for j, xj in enumerate(x)]
 
-    def u(x: np.ndarray) -> np.ndarray:
-        return np.repeat(rest(phi(np.atleast_2d(x)))[:, None], n, axis=-1)
+    # each formula returns its value axes first: component i is out[i]
+    def u(x: list) -> np.ndarray:
+        value = rest([phi(xk) for xk in x])
+        return np.broadcast_to(value, (n,) + value.shape)
 
-    def grad_u(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        g = dphi(x) * rest_columns(phi(x))
-        return np.repeat(g[:, None, :], n, axis=1)
+    def grad_u(x: list) -> np.ndarray:  # identical rows (G_0, ..., G_{n-1})
+        g = np.stack(gradient(x))
+        return np.broadcast_to(g, (n,) + g.shape)
 
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        p, d = phi(x), dphi(x)
-        own = rest_columns(p)
-        own *= ddphi(x, p)  # d_j G_j
-        out = own + np.stack(  # d_i G_i + sum_{j != i} H_ij
-            [sum(d[:, i] * d[:, j] * rest(p, i, j) for j in range(n) if j != i) for i in range(n)],
-            axis=-1,
-        )
-        out *= material.mu + material.lam
-        out += material.mu * sum(own.T)[:, None]
+    def sigma(x: list) -> np.ndarray:  # mu (G_i + G_j) + lam (sum_k G_k) delta_ij
+        g = gradient(x)
+        trace = sum(g)
+        out = np.empty((n, n) + trace.shape)
+        for i in range(n):
+            for j in range(i, n):
+                entry = np.add(g[i], g[j], out=out[i, j])
+                entry *= mu
+                if i == j:
+                    entry += lam * trace
+                else:
+                    out[j, i] = entry
         return out
 
-    return ExactSolution(name, n, material, u, grad_u, f)
+    def f(x: list) -> np.ndarray:
+        p = [phi(xk) for xk in x]
+        d = [dphi(xk) for xk in x]
+        own = [ddphi(xj, p[j]) * rest(p, j) for j, xj in enumerate(x)]  # d_j G_j
+        mixed = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                mixed[i, j] = mixed[j, i] = d[i] * d[j] * rest(p, i, j)  # H_ij
+        out = np.empty((n,) + own[0].shape)
+        for i in range(n):  # d_i G_i + sum_{j != i} H_ij
+            np.add(own[i], sum(mixed[i, j] for j in range(n) if j != i), out=out[i])
+        out *= mu + lam
+        out += mu * sum(own)
+        return out
+
+    return ExactSolution(
+        name, n, material, AxisField(u, 1), AxisField(grad_u, 2), AxisField(f, 1),
+        AxisField(sigma, 2),
+    )
 
 
 def sine_solution(n: int, material: LameParams) -> ExactSolution:

@@ -1,14 +1,23 @@
 """Tensor Gauss-Legendre rules on [0, 1]^d, the fixed rule of the data and error
-integrals, and the block walk over cells that every element-wise loop runs."""
+integrals, and the block walk over cells that every element-wise loop runs.
+
+The walk yields tensor-product blocks: per axis, the coordinates of that
+axis's cells and Gauss nodes, O(N q) values, rather than all N^n q^n points.
+``evaluate`` computes a separable exact field on those per-axis coordinates
+and combines the factors by broadcasting, in the spirit of sum factorization;
+any other field is evaluated on the block's points.
+"""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .grid import TensorGrid
+from .manufactured import AxisField, ExactSolution
 
 
 @lru_cache(maxsize=None)
@@ -64,25 +73,77 @@ BLOCK_POINTS = 4096 * QUAD_POINTS**2
 
 
 def element_blocks(
-    grid: TensorGrid, pts: np.ndarray, dims: tuple[int, ...] | None = None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Walk the cells of a lattice in flat order, BLOCK_POINTS points at a time.
+    grid: TensorGrid, nodal: Sequence[int] | None = None
+) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
+    """Walk the cells of a lattice in tensor-product blocks of BLOCK_POINTS points at most.
 
-    The cells are the multi-indices m over ``dims`` (default: the grid's
-    elements), axis 0 fastest; cell m is the box with lower corner
-    lo + m * h and the grid's spacing h.  Face and subface families are such
-    lattices too, with reference points that are 0 along their fixed axes.
-    ``pts`` are reference points in [0, 1]^dim, shape (q, dim); a block holds
-    BLOCK_POINTS // q cells (at least one).  Yields the slice of flat cell
-    indices and the physical points of that block, shape (block size, q, dim).
+    The lattice has N_k + nodal[k] cells along axis k (default: the grid's
+    elements); cell m is the box with lower corner lo + m * h and the grid's
+    spacing h.  Face and subface families are such lattices with nodal axes.
+    A cell's nodes are the QUAD_POINTS Gauss nodes along each free axis and
+    its lower corner along each nodal axis, ordered as the points of
+    ``tensor_rule(QUAD_POINTS, free axes)``.
+
+    A block is every index of the leading axes, a range of indices on the next
+    axis and one index on each later axis, so its cells are a run of the flat
+    order (axis 0 fastest).  Yields the slice of flat cell indices and the
+    per-axis physical coordinates of the block: axis k holds c_k cells by q_k
+    nodes, placed at positions n-1-k and 2n-1-k of 2n broadcasting axes.  A
+    formula over them broadcasts to the block's points in the order
+    (cell, node) with axis 0 fastest in both; ``evaluate`` reshapes it so.
     """
-    dims = grid.subdivisions if dims is None else tuple(dims)
+    dim = grid.dim
+    nodal = (0,) * dim if nodal is None else tuple(nodal)
+    dims = [n + c for n, c in zip(grid.subdivisions, nodal)]
+    nodes = [np.zeros(1) if c else gauss_01(QUAD_POINTS)[0] for c in nodal]
     lo, h = grid.lo, grid.spacing
-    total = int(np.prod(dims))
-    cells = max(1, BLOCK_POINTS // len(pts))
-    for start in range(0, total, cells):
-        block = slice(start, min(start + cells, total))
-        multi = np.stack(
-            np.unravel_index(np.arange(block.start, block.stop), dims, order="F"), axis=-1
-        )
-        yield block, (lo + multi * h)[:, None, :] + pts[None, :, :] * h
+    tables = []  # the coordinates of every cell and node along each axis
+    for k in range(dim):
+        shape = [1] * (2 * dim)
+        shape[dim - 1 - k], shape[2 * dim - 1 - k] = dims[k], len(nodes[k])
+        table = (lo[k] + np.arange(dims[k]) * h[k])[:, None] + nodes[k][None, :] * h[k]
+        tables.append(table.reshape(shape))
+    cells = max(1, BLOCK_POINTS // math.prod(len(x) for x in nodes))
+
+    def rows(k: int, first: int, stop: int) -> np.ndarray:
+        return tables[k][(slice(None),) * (dim - 1 - k) + (slice(first, stop),)]
+
+    lead = 1  # cells of the leading axes taken whole
+    for a in range(dim):
+        if lead * dims[a] > cells:
+            break
+        lead *= dims[a]
+    else:  # the whole lattice is one block
+        yield slice(0, lead), tuple(tables)
+        return
+    step = cells // lead
+    later = dims[a + 1 :]
+    for outer in range(math.prod(later)):
+        fixed = np.unravel_index(outer, later, order="F")
+        tail = tuple(rows(a + 1 + k, m, m + 1) for k, m in enumerate(fixed))
+        for first in range(0, dims[a], step):
+            stop = min(first + step, dims[a])
+            start = lead * (first + dims[a] * outer)
+            block = slice(start, start + lead * (stop - first))
+            yield block, tuple(tables[:a]) + (rows(a, first, stop),) + tail
+
+
+def evaluate(field: Callable[[np.ndarray], np.ndarray], axes: Sequence[np.ndarray]) -> np.ndarray:
+    """``field`` at the points of one block of ``element_blocks``, (cells, nodes, ...).
+
+    A separable field (an ``AxisField``, or the ``sigma`` method of a solution
+    with a closed-form ``stress``) is evaluated on the block's per-axis
+    coordinates.  Any other callable, an override of ``sigma`` included, gets
+    the block's points as one (m, dim) array; that path is the reference.
+    """
+    dim = len(axes)
+    shape = np.broadcast_shapes(*(x.shape for x in axes))
+    size = (math.prod(shape[:dim]), math.prod(shape[dim:]))
+    if getattr(field, "__func__", None) is ExactSolution.sigma:  # not an override
+        field = field.__self__.stress or field
+    if isinstance(field, AxisField):
+        values = field.on_axes(axes)
+        return values.reshape(size + values.shape[2 * dim :])
+    points = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, dim)
+    values = np.asarray(field(points))
+    return values.reshape(size + values.shape[1:])

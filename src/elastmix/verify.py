@@ -36,7 +36,7 @@ from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
 from .manufactured import ExactSolution
 from .material import LameParams
-from .quadrature import QUAD_POINTS, element_blocks, tensor_rule
+from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,12 @@ def error_norms(
     pts, w = tensor_rule(QUAD_POINTS, dim)
     vol = grid.element_volume
     sigma_l2_sq = sigma_div_sq = u_l2_sq = 0.0
-    for block, x in element_blocks(grid, pts):
-        flat = x.reshape(-1, dim)
-        sig_diff = exact.sigma(flat).reshape(x.shape + (dim,)) - sigma_h.eval_elements(pts, block)
+    for block, axes in element_blocks(grid):
+        sig_diff = evaluate(exact.sigma, axes) - sigma_h.eval_elements(pts, block)
         sigma_l2_sq += float(np.einsum("eqij,eqij,q->", sig_diff, sig_diff, w))
-        div_diff = exact.f(flat).reshape(x.shape) - sigma_h.div_elements(pts, block)
+        div_diff = evaluate(exact.f, axes) - sigma_h.div_elements(pts, block)
         sigma_div_sq += float(np.einsum("eqi,eqi,q->", div_diff, div_diff, w))
-        u_diff = exact.u(flat).reshape(x.shape) - u_h.eval_elements(pts, block)
+        u_diff = evaluate(exact.u, axes) - u_h.eval_elements(pts, block)
         u_l2_sq += float(np.einsum("eqi,eqi,q->", u_diff, u_diff, w))
     sigma_l2_sq *= vol
     sigma_div_sq *= vol

@@ -17,17 +17,17 @@ from elastmix.element import (
 from elastmix.grid import TensorGrid, build_grid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.material import apply_compliance
-from elastmix.quadrature import BLOCK_POINTS, tensor_rule
+from elastmix.quadrature import element_blocks, tensor_rule
 
 
 def partial_block_grid(dim):
-    """Anisotropic box whose cell count (2D N=70, 3D N=17) ends in a partial
-    block of the default 5-point volume rule."""
+    """Anisotropic box (2D N=70, 3D N=17) whose cells take several blocks of
+    the volume walk, the last of them partial."""
     n = {2: 70, 3: 17}[dim]
     box = ((0.0, 1.0), (-0.5, 2.0), (0.25, 0.75))[:dim]
     grid = TensorGrid(dim, box, (n,) * dim)
-    cells = BLOCK_POINTS // 5**dim
-    assert grid.n_elements > cells and grid.n_elements % cells
+    sizes = [block.stop - block.start for block, _ in element_blocks(grid)]
+    assert len(sizes) > 1 and sizes[-1] < sizes[0]
     return grid
 
 

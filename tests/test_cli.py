@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 
@@ -125,7 +126,7 @@ def test_cli_main_success(tmp_path, capsys):
     assert out.exists()
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
+def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["--solution", "polynomial", "--levels", "4,4"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["--dim", "1", "--levels", "2,4"]) == 2
@@ -148,6 +149,23 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--quad-points", "5"])
     assert exc.value.code == 2
+    # OpenBLAS reads these thread caps as no setting, so the cap was lost
+    for threads in ("abc", "0", "-1", "1.5", " 2"):
+        monkeypatch.setenv("ELASTMIX_THREADS", threads)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["--levels", "2,4,8", "--output", str(tmp_path / "t.csv")]) == 2
+        assert "ELASTMIX_THREADS" in capsys.readouterr().err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert not (tmp_path / "t.csv").exists()
+    # and the error comes before numpy is loaded
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from elastmix.cli import main; code = main(['--levels', '2']); "
+         "print(code, 'numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "ELASTMIX_THREADS": "0"},
+    )
+    assert proc.stdout.split() == ["2", "False"]
+    assert "configuration error" in proc.stderr
 
 
 def test_cli_four_dimensions(tmp_path, capsys):
@@ -266,6 +284,4 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     out = tmp_path / "threads.csv"
     code = main(["--levels", "2", "--solution", "polynomial", "--output", str(out)])
     assert code == 0
-    import os
-
     assert os.environ["OMP_NUM_THREADS"] == "1"
