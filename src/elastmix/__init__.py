@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "TensorGrid": "grid",
-    "build_grid": "grid",
     "unit_grid": "grid",
     "LameParams": "material",
     "apply_compliance": "material",

@@ -141,9 +141,8 @@ def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap | None = None)
     """Assemble the compliance block M and divergence block B on the grid."""
     if dofs is None:
         dofs = build_dof_map(grid)
-    box = grid.element_box((0,) * grid.dim)
-    m_loc = local_compliance_matrix(box, material)
-    b_loc = local_div_matrix(box)
+    m_loc = local_compliance_matrix(grid.spacing, material)
+    b_loc = local_div_matrix(grid.spacing)
     M = _scatter(m_loc, dofs.element_stress, dofs.element_stress, (dofs.n_stress, dofs.n_stress))
     B = _scatter(b_loc, dofs.element_disp, dofs.element_stress, (dofs.n_disp, dofs.n_stress))
     return SaddleSystem(M=M, B=B, dofs=dofs, material=material)
@@ -169,13 +168,12 @@ def assemble_load(
 
 def assemble_stress_gram(grid: TensorGrid, dofs: DofMap) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Global L2 and div-div Gram matrices of the stress space (exact)."""
-    box = grid.element_box((0,) * grid.dim)
     g_l2 = _scatter(
-        stress_l2_gram(box), dofs.element_stress, dofs.element_stress,
+        stress_l2_gram(grid.spacing), dofs.element_stress, dofs.element_stress,
         (dofs.n_stress, dofs.n_stress),
     )
     g_div = _scatter(
-        stress_divdiv_gram(box), dofs.element_stress, dofs.element_stress,
+        stress_divdiv_gram(grid.spacing), dofs.element_stress, dofs.element_stress,
         (dofs.n_stress, dofs.n_stress),
     )
     return g_l2, g_div
@@ -183,8 +181,7 @@ def assemble_stress_gram(grid: TensorGrid, dofs: DofMap) -> tuple[sp.csr_matrix,
 
 def assemble_disp_mass(grid: TensorGrid, dofs: DofMap) -> sp.csr_matrix:
     """Global mass matrix of the displacement space (exact, block diagonal)."""
-    box = grid.element_box((0,) * grid.dim)
     return _scatter(
-        disp_mass(box), dofs.element_disp, dofs.element_disp,
+        disp_mass(grid.spacing), dofs.element_disp, dofs.element_disp,
         (dofs.n_disp, dofs.n_disp),
     )

@@ -56,17 +56,21 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"bad boolean {text!r}; use 1/0, true/false, yes/no or on/off") from None
 
 
-# config-file key -> (StudyConfig field, converter of the value)
+# config-file key -> (StudyConfig field, converter of the value, help); the
+# flag of key x_y is --x-y, and the one boolean is a store_true flag
 _CONFIG_KEYS = {
-    "dim": ("dim", int),
-    "levels": ("levels", _parse_levels),
-    "mu": ("mu", float),
-    "lambda": ("lam", float),
-    "solution": ("solution", str),
-    "output": ("output", str),
-    "probe_infsup": ("probe_infsup", _parse_bool),
-    "probe_budget": ("probe_budget", int),
-    "tol": ("solver_tol", float),
+    "dim": ("dim", int, "space dimension (default 2)"),
+    "levels": ("levels", _parse_levels, "comma-separated subdivision counts, e.g. 4,8,16,32"),
+    "mu": ("mu", float, "shear modulus (default 0.5)"),
+    "lambda": ("lam", float, "first Lame constant (default 1.0)"),
+    "solution": ("solution", str, "manufactured solution (default sine)"),
+    "output": ("output", str, "CSV output path (default study.csv)"),
+    "probe_infsup": (
+        "probe_infsup", _parse_bool,
+        "also measure the inf-sup constant and kernel ellipticity per level",
+    ),
+    "probe_budget": ("probe_budget", int, "max unknowns for the stability probes"),
+    "tol": ("solver_tol", float, "solver tolerance"),
 }
 
 
@@ -89,7 +93,7 @@ def parse_config_file(path: str) -> dict:
             value = value.strip().strip("\"'")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            field, convert = _CONFIG_KEYS[key]
+            field, convert, _ = _CONFIG_KEYS[key]
             try:
                 values[field] = convert(value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -107,27 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help="key = value file; flags override it")
-    parser.add_argument("--dim", type=int, help="space dimension (default 2)")
-    parser.add_argument(
-        "--levels", type=_parse_levels,
-        help="comma-separated subdivision counts, e.g. 4,8,16,32",
-    )
-    parser.add_argument("--mu", type=float, help="shear modulus (default 0.5)")
-    parser.add_argument(
-        "--lambda", dest="lam", type=float, help="first Lame constant (default 1.0)"
-    )
-    parser.add_argument(
-        "--solution", choices=("sine", "polynomial"), help="manufactured solution"
-    )
-    parser.add_argument("--output", help="CSV output path (default study.csv)")
-    parser.add_argument(
-        "--probe-infsup", action="store_true", default=None,
-        help="also measure the inf-sup constant and kernel ellipticity per level",
-    )
-    parser.add_argument(
-        "--probe-budget", type=int, help="max unknowns for the stability probes"
-    )
-    parser.add_argument("--tol", dest="solver_tol", type=float, help="solver tolerance")
+    for key, (field, convert, text) in _CONFIG_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if convert is _parse_bool:
+            parser.add_argument(flag, dest=field, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(flag, dest=field, type=convert, help=text)
     return parser
 
 
@@ -147,8 +136,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         values: dict = {}
         if args.config:
             values.update(parse_config_file(args.config))
-        for field, _ in _CONFIG_KEYS.values():
-            flag = getattr(args, field, None)
+        for field, *_ in _CONFIG_KEYS.values():
+            flag = getattr(args, field)
             if flag is not None:
                 values[field] = flag
         config = StudyConfig(**values)

@@ -166,22 +166,6 @@ def eval_disp_basis(dim: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- element boxes ------------------------------------------------------------
-
-
-def box_arrays(box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize an element box to (lo, hi, spacing) arrays; reject degenerate ones."""
-    lo, hi = box
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError("element box must be a (lo, hi) pair of equal-length vectors")
-    h = hi - lo
-    if (h <= 0).any():
-        raise ValueError(f"degenerate element box: spacing {h}")
-    return lo, hi, h
-
-
 # -- local matrices -----------------------------------------------------------
 #
 # Every shape function is a product of 1D factors, one per axis, and so is
@@ -191,7 +175,7 @@ def box_arrays(box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # products of 1D integrals on [0, 1].  Those are exact rationals
 # (int t^k dt = 1/(k+1)), rounded once, so a structural zero -- the zero mean
 # of a face quadratic, a moment a derivative does not see, two different
-# components -- is an exact 0.0 for every box and material.
+# components -- is an exact 0.0 for every spacing and material.
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +186,8 @@ def _integral(p: tuple[int, ...], q: tuple[int, ...]) -> float:
     )
 
 
-def _stress_terms(dim: int, h: np.ndarray):
-    """The shape functions as sums of products of 1D factors.
+def _stress_terms(h: np.ndarray):
+    """The shape functions on a cell of edge lengths h as sums of products of 1D factors.
 
     Returns three lists with one entry per shape function, each a list of
     (key, scale, factors) terms: the tensor entries (key (i, j)), the trace
@@ -211,7 +195,7 @@ def _stress_terms(dim: int, h: np.ndarray):
     differentiated axis).
     """
     value, trace, div = [], [], []
-    for dof in element_table(dim):
+    for dof in element_table(h.size):
         f = dof.factors
         entries = _entries(dof.entry)
         value.append([(e, 1.0, f) for e in entries])
@@ -241,43 +225,50 @@ def _inner(rows, cols) -> np.ndarray:
     return out
 
 
-def local_compliance_matrix(box, material: LameParams) -> np.ndarray:
-    """(A phi_a, phi_b) over the element; symmetric positive definite.
+def _positive(spacing: Sequence[float]) -> np.ndarray:
+    """The cell edge lengths as an array; reject nonpositive ones."""
+    h = np.asarray(spacing, dtype=float)
+    if h.ndim != 1 or not (h > 0).all():
+        raise ValueError(f"cell spacing must be a vector of positive lengths, got {spacing}")
+    return h
+
+
+def local_compliance_matrix(spacing: Sequence[float], material: LameParams) -> np.ndarray:
+    """(A phi_a, phi_b) over a cell of edge lengths ``spacing``; symmetric positive definite.
 
     A s = (s - lam / (2 mu + n lam) tr(s) I) / (2 mu), so the matrix is the
     Frobenius Gram minus a multiple of the Gram of the traces.
     """
-    lo, hi, h = box_arrays(box)
-    dim = lo.size
-    value, trace, _ = _stress_terms(dim, h)
-    coupling = material.lam / material.trace_factor(dim)
+    h = _positive(spacing)
+    value, trace, _ = _stress_terms(h)
+    coupling = material.lam / material.trace_factor(h.size)
     mat = _inner(value, value) - coupling * _inner(trace, trace)
     return (float(np.prod(h)) / (2.0 * material.mu)) * mat
 
 
-def local_div_matrix(box) -> np.ndarray:
-    """(div phi_a, psi_b) over the element, shape (2*dim, nfun); exact."""
-    lo, hi, h = box_arrays(box)
-    _, _, div = _stress_terms(lo.size, h)
-    return float(np.prod(h)) * _inner(_disp_terms(lo.size), div)
+def local_div_matrix(spacing: Sequence[float]) -> np.ndarray:
+    """(div phi_a, psi_b) over the cell, shape (2*dim, nfun); exact."""
+    h = _positive(spacing)
+    _, _, div = _stress_terms(h)
+    return float(np.prod(h)) * _inner(_disp_terms(h.size), div)
 
 
-def stress_l2_gram(box) -> np.ndarray:
+def stress_l2_gram(spacing: Sequence[float]) -> np.ndarray:
     """(phi_a, phi_b) Frobenius Gram of the stress basis; exact."""
-    lo, hi, h = box_arrays(box)
-    value, _, _ = _stress_terms(lo.size, h)
+    h = _positive(spacing)
+    value, _, _ = _stress_terms(h)
     return float(np.prod(h)) * _inner(value, value)
 
 
-def stress_divdiv_gram(box) -> np.ndarray:
+def stress_divdiv_gram(spacing: Sequence[float]) -> np.ndarray:
     """(div phi_a, div phi_b) Gram of the stress basis; exact."""
-    lo, hi, h = box_arrays(box)
-    _, _, div = _stress_terms(lo.size, h)
+    h = _positive(spacing)
+    _, _, div = _stress_terms(h)
     return float(np.prod(h)) * _inner(div, div)
 
 
-def disp_mass(box) -> np.ndarray:
+def disp_mass(spacing: Sequence[float]) -> np.ndarray:
     """(psi_a, psi_b) Gram of the displacement basis; exact."""
-    lo, hi, h = box_arrays(box)
-    psi = _disp_terms(lo.size)
+    h = _positive(spacing)
+    psi = _disp_terms(h.size)
     return float(np.prod(h)) * _inner(psi, psi)

@@ -94,27 +94,11 @@ class TensorGrid:
         """Multi-indices of all elements in flat order, shape (n_elements, dim)."""
         return multi_index_array(self.subdivisions)
 
-    def element_box(self, multi: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        m = np.asarray(multi)
-        if m.shape != (self.dim,) or (m < 0).any() or (m >= self.subdivisions).any():
-            raise ValueError(f"invalid element multi-index {multi}")
-        lo = self.lo + m * self.spacing
-        return lo, lo + self.spacing
-
     def element_origins(self) -> np.ndarray:
         """Lower corners of all elements in flat order, shape (n_elements, dim)."""
         return self.lo + self.element_multi_array() * self.spacing
 
 
-def build_grid(
-    dim: int,
-    box: Sequence[Sequence[float]],
-    subdivisions: Sequence[int],
-) -> TensorGrid:
-    """Construct a uniform grid of ``dim``-dimensional box with the given cell counts."""
-    return TensorGrid(dim, tuple(tuple(iv) for iv in box), tuple(subdivisions))
-
-
 def unit_grid(dim: int, n: int) -> TensorGrid:
     """Uniform n-per-axis grid of the unit box [0, 1]^dim."""
-    return build_grid(dim, [(0.0, 1.0)] * dim, [n] * dim)
+    return TensorGrid(dim, ((0.0, 1.0),) * dim, (n,) * dim)

@@ -119,7 +119,7 @@ def project_displacement(
     in place of the gathered moments, so no third array of their size is held.
     """
     moments = assemble_load(grid, u, dofs)[dofs.element_disp]
-    mass = disp_mass(grid.element_box((0,) * grid.dim))
+    mass = disp_mass(grid.spacing)
     local = scipy.linalg.solve(mass, moments.T, overwrite_b=True, assume_a="pos")
     coeffs = np.empty(dofs.n_disp)
     coeffs[dofs.element_disp] = local.T

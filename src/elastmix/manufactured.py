@@ -65,9 +65,8 @@ class ExactSolution:
     """Evaluators for displacement u, its gradient, stress sigma and load f.
 
     All evaluators are vectorized over points of shape (m, dim); u and f
-    return (m, dim), grad_u and sigma return (m, dim, dim).  ``stress`` is
-    sigma in closed form when the solution knows it (the separable solutions
-    here); without it sigma is formed from grad_u.
+    return (m, dim), grad_u and sigma return (m, dim, dim).  The solutions
+    here pass ``AxisField``s, which ``quadrature.evaluate`` runs per axis.
     """
 
     name: str
@@ -76,25 +75,7 @@ class ExactSolution:
     u: Callable[[np.ndarray], np.ndarray]
     grad_u: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
-    stress: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def strain(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad_u(x)
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
-
-    def sigma(self, x: np.ndarray) -> np.ndarray:
-        """C eps = mu (g + g^T) + lam tr(g) I with g = grad u.
-
-        The strain of a gradient is symmetric by construction, so this skips
-        the symmetry check of ``apply_stiffness`` and gives the same values.
-        """
-        if self.stress is not None:
-            return self.stress(x)
-        g = self.grad_u(x)
-        out = self.material.mu * (g + np.swapaxes(g, -1, -2))
-        diag = np.arange(self.dim)
-        out[..., diag, diag] += self.material.lam * np.trace(g, axis1=-2, axis2=-1)[..., None]
-        return out
+    sigma: Callable[[np.ndarray], np.ndarray]
 
 
 def _separable(

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .grid import TensorGrid
-from .manufactured import AxisField, ExactSolution
+from .manufactured import AxisField
 
 
 @lru_cache(maxsize=None)
@@ -37,10 +37,10 @@ def gauss_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
 def tensor_rule(npts: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product rule on [0, 1]^dim; weights sum to 1.
 
-    Points have shape (npts**dim, dim) with axis 0 varying fastest, matching
-    the grid module's entity enumeration.  dim == 0 yields the single-point
-    rule with weight 1 so entity averages degenerate gracefully to point
-    evaluation.
+    Points have shape (npts**dim, dim) with axis 0 varying fastest, the
+    node order of every cell in ``element_blocks``.  dim == 0 yields the
+    single-point rule with weight 1, so averages over the vertices of a 2D
+    grid degenerate to point values.
     """
     if dim < 0:
         raise ValueError(f"dim must be nonnegative, got {dim}")
@@ -131,16 +131,13 @@ def element_blocks(
 def evaluate(field: Callable[[np.ndarray], np.ndarray], axes: Sequence[np.ndarray]) -> np.ndarray:
     """``field`` at the points of one block of ``element_blocks``, (cells, nodes, ...).
 
-    A separable field (an ``AxisField``, or the ``sigma`` method of a solution
-    with a closed-form ``stress``) is evaluated on the block's per-axis
-    coordinates.  Any other callable, an override of ``sigma`` included, gets
-    the block's points as one (m, dim) array; that path is the reference.
+    An ``AxisField`` is evaluated on the block's per-axis coordinates.  Any
+    other callable gets the block's points as one (m, dim) array; that path is
+    the reference.
     """
     dim = len(axes)
     shape = np.broadcast_shapes(*(x.shape for x in axes))
     size = (math.prod(shape[:dim]), math.prod(shape[dim:]))
-    if getattr(field, "__func__", None) is ExactSolution.sigma:  # not an override
-        field = field.__self__.stress or field
     if isinstance(field, AxisField):
         values = field.on_axes(axes)
         return values.reshape(size + values.shape[2 * dim :])

@@ -70,8 +70,9 @@ def solve(
 
     ``load`` is the displacement-block right-hand side; the stress block of
     the right-hand side is zero.  ``method`` is ``"auto"`` or ``"minres"``,
-    which both run the preconditioned MINRES.  Raises ConvergenceError with
-    the achieved residual on non-convergence.
+    which both run the preconditioned MINRES.  Raises SolverError on a load
+    with a NaN or inf entry, and ConvergenceError with the achieved residual
+    unless it is at most ``tol``.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -81,6 +82,8 @@ def solve(
     load = np.asarray(load, dtype=float)
     if load.shape != (dofs.n_disp,):
         raise ValueError(f"load vector must have length {dofs.n_disp}, got {load.shape}")
+    if not np.isfinite(load).all():
+        raise SolverError("load vector has non-finite entries")
 
     start = time.perf_counter()
     rhs = np.concatenate([np.zeros(dofs.n_stress), load])
@@ -94,7 +97,7 @@ def solve(
         )
 
     x, residual, iterations, setup_time, restarts = _solve_minres(system, rhs, rhs_norm, tol)
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise ConvergenceError(
             f"minres solve reached relative residual {residual:.3e} > tol {tol:.3e}",
             residual,
@@ -163,7 +166,7 @@ def _solve_minres(system, rhs, rhs_norm, tol):
         r = rhs - matrix @ x
         previous = residual
         residual = float(np.linalg.norm(r)) / rhs_norm
-        if residual <= tol or (stalled and residual >= previous):
+        if residual <= tol or not np.isfinite(residual) or (stalled and residual >= previous):
             break
         stalled = stalled or residual >= previous
         rtol = max(rtol * min(0.1, 0.1 * tol / residual), 1e-16)

@@ -102,14 +102,14 @@ def superclose_norms(
     if pi_sigma.dofs is not dofs or u_h.dofs is not dofs or ph_u.dofs is not dofs:
         raise ValueError("fields do not share a DOF map")
     grid = dofs.grid
-    box = grid.element_box((0,) * grid.dim)
+    h = grid.spacing
 
     d_sigma = (sigma_h.coeffs - pi_sigma.coeffs)[dofs.element_stress]
-    l2_sq = float(np.einsum("el,lk,ek->", d_sigma, stress_l2_gram(box), d_sigma))
-    div_sq = float(np.einsum("el,lk,ek->", d_sigma, stress_divdiv_gram(box), d_sigma))
+    l2_sq = float(np.einsum("el,lk,ek->", d_sigma, stress_l2_gram(h), d_sigma))
+    div_sq = float(np.einsum("el,lk,ek->", d_sigma, stress_divdiv_gram(h), d_sigma))
 
     d_u = (u_h.coeffs - ph_u.coeffs)[dofs.element_disp]
-    u_sq = float(np.einsum("el,lk,ek->", d_u, disp_mass(box), d_u))
+    u_sq = float(np.einsum("el,lk,ek->", d_u, disp_mass(h), d_u))
 
     return ErrorRecord(
         h=grid.max_spacing,

@@ -8,13 +8,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from elastmix.assembly import assemble, assemble_disp_mass, assemble_stress_gram, build_dof_map
-from elastmix.element import (
-    box_arrays,
-    eval_disp_basis,
-    eval_stress_basis,
-    eval_stress_basis_div,
-)
-from elastmix.grid import TensorGrid, build_grid
+from elastmix.element import eval_disp_basis, eval_stress_basis, eval_stress_basis_div
+from elastmix.grid import TensorGrid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.material import apply_compliance
 from elastmix.quadrature import element_blocks, tensor_rule
@@ -34,7 +29,7 @@ def partial_block_grid(dim):
 def one_cell(box):
     """The grid of one cell on ``box`` = (lo, hi) and its DOF map."""
     lo, hi = box
-    grid = build_grid(len(lo), list(zip(lo, hi)), (1,) * len(lo))
+    grid = TensorGrid(len(lo), tuple(zip(lo, hi)), (1,) * len(lo))
     return grid, build_dof_map(grid)
 
 
@@ -125,6 +120,12 @@ def random_box(dim, rng, min_edge=0.2, max_edge=2.0):
     return lo, lo + edges
 
 
+def random_spacing(dim, rng):
+    """The edge lengths of ``random_box(dim, rng)``, from the same draws."""
+    lo, hi = random_box(dim, rng)
+    return hi - lo
+
+
 def kernel_basis(b):
     """Orthonormal basis of the numerical null space of a dense matrix."""
     _, svals, vt = scipy.linalg.svd(b, full_matrices=True)
@@ -166,42 +167,42 @@ def dense_stability_probes(grid, material):
 QUADRATURE_QPTS = 3
 
 
-def _quadrature(box):
-    lo, _, h = box_arrays(box)
-    pts, w = tensor_rule(QUADRATURE_QPTS, lo.size)
-    return lo.size, h, pts, float(np.prod(h)) * w
+def _quadrature(spacing):
+    h = np.asarray(spacing, dtype=float)
+    pts, w = tensor_rule(QUADRATURE_QPTS, h.size)
+    return h.size, h, pts, float(np.prod(h)) * w
 
 
 def _symmetric(mat):
     return 0.5 * (mat + mat.T)
 
 
-def quadrature_compliance_matrix(box, material):
-    dim, _, pts, w = _quadrature(box)
+def quadrature_compliance_matrix(spacing, material):
+    dim, _, pts, w = _quadrature(spacing)
     basis = eval_stress_basis(dim, pts)
     abasis = apply_compliance(material, dim, basis)
     return _symmetric(np.einsum("aqij,bqij,q->ab", abasis, basis, w))
 
 
-def quadrature_div_matrix(box):
-    dim, h, pts, w = _quadrature(box)
+def quadrature_div_matrix(spacing):
+    dim, h, pts, w = _quadrature(spacing)
     div = eval_stress_basis_div(dim, pts, h)
     return np.einsum("aqi,bqi,q->ba", div, eval_disp_basis(dim, pts), w)
 
 
-def quadrature_l2_gram(box):
-    dim, _, pts, w = _quadrature(box)
+def quadrature_l2_gram(spacing):
+    dim, _, pts, w = _quadrature(spacing)
     basis = eval_stress_basis(dim, pts)
     return _symmetric(np.einsum("aqij,bqij,q->ab", basis, basis, w))
 
 
-def quadrature_divdiv_gram(box):
-    dim, h, pts, w = _quadrature(box)
+def quadrature_divdiv_gram(spacing):
+    dim, h, pts, w = _quadrature(spacing)
     div = eval_stress_basis_div(dim, pts, h)
     return _symmetric(np.einsum("aqi,bqi,q->ab", div, div, w))
 
 
-def quadrature_disp_mass(box):
-    dim, _, pts, w = _quadrature(box)
+def quadrature_disp_mass(spacing):
+    dim, _, pts, w = _quadrature(spacing)
     psi = eval_disp_basis(dim, pts)
     return _symmetric(np.einsum("aqi,bqi,q->ab", psi, psi, w))

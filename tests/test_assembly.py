@@ -17,7 +17,7 @@ from elastmix.element import (
     local_compliance_matrix,
     local_div_matrix,
 )
-from elastmix.grid import TensorGrid, build_grid, multi_index_array, unit_grid
+from elastmix.grid import TensorGrid, multi_index_array, unit_grid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
@@ -97,13 +97,12 @@ def test_single_element_system_equals_local_matrices():
     # through the (fixed) local-to-global permutation
     grid = unit_grid(2, 1)
     system = assemble(grid, MAT)
-    box = grid.element_box((0, 0))
     s_perm = system.dofs.element_stress[0]
     d_perm = system.dofs.element_disp[0]
     m_global = system.M.toarray()[np.ix_(s_perm, s_perm)]
     b_global = system.B.toarray()[np.ix_(d_perm, s_perm)]
-    assert np.allclose(m_global, local_compliance_matrix(box, MAT), atol=1e-15)
-    assert np.allclose(b_global, local_div_matrix(box), atol=1e-15)
+    assert np.allclose(m_global, local_compliance_matrix(grid.spacing, MAT), atol=1e-15)
+    assert np.allclose(b_global, local_div_matrix(grid.spacing), atol=1e-15)
 
 
 def test_global_quadratic_form_positive():
@@ -152,7 +151,7 @@ def test_normal_traces_match_across_interior_faces():
     _assert_normal_traces_continuous(unit_grid(2, 3), seed=17)
     # 4D: the trace carries one diagonal and three shear components
     _assert_normal_traces_continuous(
-        build_grid(4, [(0.0, 1.0), (-1.0, 0.5), (0.0, 0.3), (0.0, 2.0)], (2, 3, 2, 2)), seed=21
+        TensorGrid(4, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3), (0.0, 2.0)), (2, 3, 2, 2)), seed=21
     )
 
 
@@ -160,7 +159,7 @@ def test_normal_traces_match_across_interior_faces_3d():
     # in 3D the trace of sigma . e_axis on an interior face carries one
     # diagonal and two shear components; all must be continuous
     _assert_normal_traces_continuous(
-        build_grid(3, [(0.0, 1.0), (-1.0, 0.5), (0.0, 0.3)], (2, 3, 2)), seed=19
+        TensorGrid(3, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3)), (2, 3, 2)), seed=19
     )
 
 
@@ -169,7 +168,7 @@ def test_anisotropic_subdivisions_full_pipeline():
     # identity and the discrete-space reproduction of the interpolation
     from elastmix.solver import solve
 
-    grid = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], (2, 4))
+    grid = TensorGrid(2, ((0.0, 1.0), (0.0, 1.0)), (2, 4))
     dofs = build_dof_map(grid)
     system = assemble(grid, MAT, dofs)
     exact = sine_solution(2, MAT)
@@ -317,10 +316,9 @@ def test_disp_mass_block_diagonal():
 def test_int32_triplets_give_the_int64_matrices(grid):
     dofs = build_dof_map(grid)
     system = assemble(grid, MAT, dofs)
-    box = grid.element_box((0,) * grid.dim)
     for matrix, local, rows in (
-        (system.M, local_compliance_matrix(box, MAT), dofs.element_stress),
-        (system.B, local_div_matrix(box), dofs.element_disp),
+        (system.M, local_compliance_matrix(grid.spacing, MAT), dofs.element_stress),
+        (system.B, local_div_matrix(grid.spacing), dofs.element_disp),
     ):
         # the same nonzero local entries, scattered with int64 triplets
         r_loc, c_loc = np.nonzero(local)
@@ -358,14 +356,14 @@ def test_matrices_stored_on_exact_pattern(grid, lam):
     dofs = build_dof_map(grid)
     system = assemble(grid, material, dofs)
     g_l2, g_div = assemble_stress_gram(grid, dofs)
-    box = grid.element_box((0,) * grid.dim)
+    h = grid.spacing
     stress, disp = dofs.element_stress, dofs.element_disp
     cases = [
-        (system.M, quadrature_compliance_matrix(box, material), stress, stress),
-        (system.B, quadrature_div_matrix(box), disp, stress),
-        (g_l2, quadrature_l2_gram(box), stress, stress),
-        (g_div, quadrature_divdiv_gram(box), stress, stress),
-        (assemble_disp_mass(grid, dofs), quadrature_disp_mass(box), disp, disp),
+        (system.M, quadrature_compliance_matrix(h, material), stress, stress),
+        (system.B, quadrature_div_matrix(h), disp, stress),
+        (g_l2, quadrature_l2_gram(h), stress, stress),
+        (g_div, quadrature_divdiv_gram(h), stress, stress),
+        (assemble_disp_mass(grid, dofs), quadrature_disp_mass(h), disp, disp),
     ]
     for matrix, local, rows, cols in cases:
         assert np.abs(matrix.data).min() > 1e-12 * np.abs(matrix.data).max()

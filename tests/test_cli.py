@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from elastmix.cli import main, parse_config_file
+from elastmix.cli import _CONFIG_KEYS, build_parser, main, parse_config_file
 from elastmix.study import StudyConfig, run_study
 
 
@@ -130,6 +130,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["--solution", "polynomial", "--levels", "4,4"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["--dim", "1", "--levels", "2,4"]) == 2
+    # the flag takes any name; the study config rejects it and lists the solutions
+    assert main(["--solution", "bogus", "--levels", "2,4"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'polynomial', 'sine'" in err
     # each of these used to pass the check and fail later with a traceback
     # or, for the probe budget, a skipped probe on every level
     for argv in (
@@ -184,6 +188,24 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert code == 1
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_non_finite_load_exit_code(tmp_path, capsys):
+    # lambda = 1e308 overflows the load; this used to exit 0 with a CSV of nan
+    out = tmp_path / "overflow.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["--lambda", "1e308", "--levels", "2,3,4", "--output", str(out)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_flags_follow_the_config_keys():
+    # every config key x_y is the flag --x-y, and only --probe-infsup takes no value
+    actions = {a.dest: a for a in build_parser()._actions}
+    for key, (field, *_) in _CONFIG_KEYS.items():
+        assert actions[field].option_strings == ["--" + key.replace("_", "-")]
+        assert (actions[field].nargs == 0) == (key == "probe_infsup")
 
 
 def test_cli_study_past_direct_limit_exit_code(tmp_path, capsys):

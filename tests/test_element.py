@@ -23,6 +23,7 @@ from poly_utils import (
     quadrature_divdiv_gram,
     quadrature_l2_gram,
     random_box,
+    random_spacing,
 )
 
 UNIT_SQUARE = (np.zeros(2), np.ones(2))
@@ -151,29 +152,36 @@ def test_shear_partition_of_unity():
 
 
 def test_degenerate_box_rejected():
-    with pytest.raises(ValueError):
-        local_div_matrix((np.zeros(2), np.array([1.0, 0.0])))
+    # every local matrix is public, so each checks the cell spacing it is given
+    material = LameParams(mu=0.5, lam=1.0)
+    for local in (
+        lambda h: local_compliance_matrix(h, material),
+        local_div_matrix, stress_l2_gram, stress_divdiv_gram, disp_mass,
+    ):
+        for spacing in ([1.0, 0.0], [1.0, -0.5], [1.0, np.nan], [[1.0, 1.0]]):
+            with pytest.raises(ValueError, match="spacing"):
+                local(spacing)
 
 
 def test_compliance_reduces_to_gram():
-    box = (np.array([0.2, -0.3]), np.array([1.0, 0.4]))
-    mat = local_compliance_matrix(box, LameParams(mu=0.5, lam=0.0))
-    assert np.allclose(mat, stress_l2_gram(box), atol=1e-13)
+    h = np.array([0.8, 0.7])
+    mat = local_compliance_matrix(h, LameParams(mu=0.5, lam=0.0))
+    assert np.allclose(mat, stress_l2_gram(h), atol=1e-13)
 
 
 def test_compliance_identity_energy():
     # expand the identity tensor in the basis: all diagonal DOFs are 1
     coeffs = np.zeros(10)
     coeffs[0:6] = 1.0
-    mat = local_compliance_matrix(UNIT_SQUARE, LameParams(mu=0.5, lam=1.0))
+    mat = local_compliance_matrix(np.ones(2), LameParams(mu=0.5, lam=1.0))
     assert coeffs @ mat @ coeffs == pytest.approx(2.0 / 3.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 1e6])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_compliance_spd(lam, dim):
-    box = random_box(dim, np.random.default_rng(dim * 100 + int(lam) % 97))
-    mat = local_compliance_matrix(box, LameParams(mu=0.7, lam=lam))
+    h = random_spacing(dim, np.random.default_rng(dim * 100 + int(lam) % 97))
+    mat = local_compliance_matrix(h, LameParams(mu=0.7, lam=lam))
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() > 0
 
@@ -181,9 +189,9 @@ def test_compliance_spd(lam, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_compliance_eigen_floor(dim):
     params = LameParams(mu=0.6, lam=4.0)
-    box = random_box(dim, np.random.default_rng(99))
-    mat = local_compliance_matrix(box, params)
-    gram = stress_l2_gram(box)
+    h = random_spacing(dim, np.random.default_rng(99))
+    mat = local_compliance_matrix(h, params)
+    gram = stress_l2_gram(h)
     floor = params.compliance_floor(dim) * np.linalg.eigvalsh(gram).min()
     assert np.linalg.eigvalsh(mat).min() >= floor - 1e-12
 
@@ -197,7 +205,7 @@ def test_div_matrix_linear_stress():
         return out
 
     coeffs = local_dofs(field, UNIT_SQUARE)
-    moments = local_div_matrix(UNIT_SQUARE) @ coeffs
+    moments = local_div_matrix(np.ones(2)) @ coeffs
     # displacement basis order: (1, 0), (x1, 0), (0, 1), (0, x2)
     assert np.allclose(moments, [1.0, 0.5, 0.0, 0.0], atol=1e-14)
 
@@ -209,7 +217,7 @@ def test_div_matrix_constant_stress():
         return np.broadcast_to(base, (x.shape[0], 2, 2))
 
     coeffs = local_dofs(field, UNIT_SQUARE)
-    moments = local_div_matrix(UNIT_SQUARE) @ coeffs
+    moments = local_div_matrix(np.ones(2)) @ coeffs
     assert np.abs(moments).max() <= 1e-14
 
 
@@ -217,15 +225,13 @@ def test_div_matrix_constant_stress():
 def test_divergence_lands_in_displacement_space(dim):
     # L2 projection of each shape function's divergence onto the local
     # displacement space leaves no residual
-    box = random_box(dim, np.random.default_rng(dim))
-    lo, hi = box
-    h = hi - lo
+    h = random_spacing(dim, np.random.default_rng(dim))
     vol = float(np.prod(h))
     pts, w = tensor_rule(3, dim)
 
     div = eval_stress_basis_div(dim, pts, h)
     psi = eval_disp_basis(dim, pts)
-    gram = disp_mass(box)
+    gram = disp_mass(h)
     for a in range(len(element_table(dim))):
         moments = vol * np.einsum("qi,bqi,q->b", div[a], psi, w)
         proj = np.linalg.solve(gram, moments)
@@ -244,19 +250,19 @@ def test_displacement_basis_moments():
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_local_matrices_exact_zeros_match_quadrature(dim):
-    # on random boxes and materials, the exact local matrices are zero exactly
+    # on random spacings and materials, the exact local matrices are zero exactly
     # where the Gauss oracle holds only round-off, and agree with it elsewhere
     # up to that round-off, which scales with the largest entry
     rng = np.random.default_rng(40 + dim)
     for lam in (0.0, 1.0, 1e4, 1e8):
-        box = random_box(dim, rng)
+        h = random_spacing(dim, rng)
         material = LameParams(rng.uniform(0.2, 2.0), lam)
         pairs = [
-            (local_compliance_matrix(box, material), quadrature_compliance_matrix(box, material)),
-            (local_div_matrix(box), quadrature_div_matrix(box)),
-            (stress_l2_gram(box), quadrature_l2_gram(box)),
-            (stress_divdiv_gram(box), quadrature_divdiv_gram(box)),
-            (disp_mass(box), quadrature_disp_mass(box)),
+            (local_compliance_matrix(h, material), quadrature_compliance_matrix(h, material)),
+            (local_div_matrix(h), quadrature_div_matrix(h)),
+            (stress_l2_gram(h), quadrature_l2_gram(h)),
+            (stress_divdiv_gram(h), quadrature_divdiv_gram(h)),
+            (disp_mass(h), quadrature_disp_mass(h)),
         ]
         for exact, oracle in pairs:
             significant = np.abs(oracle) > 1e-12 * np.abs(oracle).max()

@@ -6,7 +6,7 @@ import pytest
 
 from elastmix.assembly import build_dof_map
 from elastmix.element import element_table
-from elastmix.grid import build_grid, flat_strides, unit_grid
+from elastmix.grid import TensorGrid, flat_strides, unit_grid
 
 
 def _local(dim, entry, offset):
@@ -74,19 +74,19 @@ def test_total_face_count_formula(dim, n):
 
 
 def test_anisotropic_counts():
-    g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (2, 3))
+    g = TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 3))
     assert g.n_elements == 6
     assert _faces(g, 0) == 3 * 3
     assert _faces(g, 1) == 2 * 4
     assert _subfaces(g, 0, 1) == 3 * 4
 
 
-def test_element_box_and_spacing():
-    g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (2, 4))
+def test_element_origin_and_spacing():
+    g = TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 4))
     assert np.allclose(g.spacing, [0.5, 0.5])
-    lo, hi = g.element_box((1, 2))
+    lo = g.element_origins()[1 + 2 * 2]  # cell (1, 2)
     assert np.allclose(lo, [0.5, 1.0])
-    assert np.allclose(hi, [1.0, 1.5])
+    assert np.allclose(lo + g.spacing, [1.0, 1.5])
 
 
 def test_interior_vertex_adjacency():
@@ -118,7 +118,7 @@ def test_interior_edge_adjacency_3d():
 def test_element_face_round_trip(dim, subs):
     # the upper face of a cell along each axis is the lower face of the next
     # cell along it, and no other cell's face
-    g = build_grid(dim, [(0.0, 1.0)] * dim, subs)
+    g = TensorGrid(dim, ((0.0, 1.0),) * dim, subs)
     stress = build_dof_map(g).element_stress
     multi = g.element_multi_array()
     strides = flat_strides(subs)
@@ -139,19 +139,23 @@ def test_boundary_entities_shared_by_fewer_elements():
 
 
 def test_flat_index_round_trip():
-    g = build_grid(3, [(0.0, 1.0)] * 3, (2, 3, 4))
+    g = TensorGrid(3, ((0.0, 1.0),) * 3, (2, 3, 4))
     multis = g.element_multi_array()
     assert np.array_equal(multis @ flat_strides(g.subdivisions), np.arange(g.n_elements))
 
 
 def test_construction_errors():
     with pytest.raises(ValueError):
-        build_grid(1, [(0.0, 1.0)], [2])
+        TensorGrid(1, [(0.0, 1.0)], [2])
     with pytest.raises(ValueError):
-        build_grid(2, [(0.0, 0.0), (0.0, 1.0)], [2, 2])
+        TensorGrid(2, [(0.0, 0.0), (0.0, 1.0)], [2, 2])
     with pytest.raises(ValueError):
-        build_grid(2, [(1.0, 0.0), (0.0, 1.0)], [2, 2])
+        TensorGrid(2, [(1.0, 0.0), (0.0, 1.0)], [2, 2])
     with pytest.raises(ValueError):
-        build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [0, 2])
+        TensorGrid(2, [(0.0, 1.0), (0.0, 1.0)], [0, 2])
     with pytest.raises(ValueError):
-        build_grid(2, [(0.0, 1.0)], [2, 2])
+        TensorGrid(2, [(0.0, 1.0)], [2, 2])
+    # lists are normalized to the tuples of the frozen grid
+    g = TensorGrid(2, [[0, 1], [0, 2]], [2, 4])
+    assert g == TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 4))
+    assert hash(g) == hash(TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 4)))

@@ -6,7 +6,13 @@ import pytest
 from elastmix.assembly import assemble_load, build_dof_map
 from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import interp_stress, project_displacement
-from elastmix.manufactured import ExactSolution, _separable, polynomial_solution, sine_solution
+from elastmix.manufactured import (
+    AxisField,
+    ExactSolution,
+    _separable,
+    polynomial_solution,
+    sine_solution,
+)
 from elastmix.material import LameParams
 from elastmix.quadrature import (
     BLOCK_POINTS,
@@ -75,26 +81,26 @@ def test_blocks_cover_each_lattice_once_in_flat_order(subdivisions):
 def test_per_axis_evaluation_matches_points(factory, dim):
     exact = factory(dim, MAT)
     grid = TensorGrid(dim, BOX[:dim], (3, 2, 4, 2)[:dim])
+    fields = {name: getattr(exact, name) for name in ("u", "grad_u", "f", "sigma")}
+    # every field of the solutions takes the per-axis path of ``evaluate``
+    assert all(isinstance(field, AxisField) for field in fields.values())
     for nodal in _lattices(dim):
         for block, axes in element_blocks(grid, nodal):
             flat = _points(axes).reshape(-1, dim)
-            for name, field in [
-                ("u", exact.u), ("grad_u", exact.grad_u), ("f", exact.f), ("sigma", exact.stress)
-            ]:
+            for name, field in fields.items():
                 values = field.on_axes(axes)
-                expected = getattr(exact, name)(flat)
+                expected = field(flat)
                 assert values.shape == tuple(np.broadcast_shapes(*(a.shape for a in axes))) + (
                     expected.shape[1:]
                 )
                 values = values.reshape(expected.shape)
                 scale = np.abs(expected).max()
                 assert np.abs(values - expected).max() <= 1e-14 * scale, name
-            # the helper takes the per-axis path for the solution's own sigma
-            # and the point path for any other callable
-            per_axis = evaluate(exact.sigma, axes)
-            generic = evaluate(lambda x: exact.sigma(x), axes)
-            assert per_axis.shape == generic.shape
-            assert np.abs(per_axis - generic).max() <= 1e-14 * np.abs(generic).max()
+                # and agrees with the point path, which any other callable takes
+                per_axis = evaluate(field, axes)
+                generic = evaluate(lambda x: field(x), axes)
+                assert per_axis.shape == generic.shape
+                assert np.abs(per_axis - generic).max() <= 1e-14 * scale, name
 
 
 def _point_wrapper(exact):
@@ -102,6 +108,7 @@ def _point_wrapper(exact):
     return ExactSolution(
         "wrapped", exact.dim, exact.material,
         lambda x: exact.u(x), lambda x: exact.grad_u(x), lambda x: exact.f(x),
+        lambda x: exact.sigma(x),
     )
 
 

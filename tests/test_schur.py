@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from elastmix._schur import SchurInverse, component_factors
 from elastmix.assembly import assemble
-from elastmix.grid import build_grid
+from elastmix.grid import TensorGrid
 from elastmix.material import LameParams
 
 # anisotropic boxes with unequal subdivisions, most with an axis of one cell
@@ -52,7 +52,7 @@ def _kron_form(grid, c, A, C, L):
 
 @pytest.mark.parametrize("dim, box, subs, material", CASES)
 def test_kronecker_factors_equal_assembled_schur_blocks(dim, box, subs, material):
-    grid = build_grid(dim, box, subs)
+    grid = TensorGrid(dim, box, subs)
     schur, comps = _assembled_schur(grid, material)
     for c, idx in enumerate(comps):
         block = schur[np.ix_(idx, idx)]
@@ -62,7 +62,7 @@ def test_kronecker_factors_equal_assembled_schur_blocks(dim, box, subs, material
 
 @pytest.mark.parametrize("dim, box, subs, material", CASES)
 def test_schur_inverse_undoes_component_blocks(dim, box, subs, material):
-    grid = build_grid(dim, box, subs)
+    grid = TensorGrid(dim, box, subs)
     schur, comps = _assembled_schur(grid, material)
     block_diag = np.zeros_like(schur)
     for idx in comps:

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +14,7 @@ from elastmix.solver import (
     DIRECT_SIZE_LIMIT,
     ConvergenceError,
     SolveReport,
+    SolverError,
     solve,
 )
 from poly_utils import full_matrix
@@ -52,9 +56,8 @@ def test_residual_against_independently_rebuilt_matrix():
     grid, dofs, system, load = _assembled(n=3)
     sigma, u, report = solve(system, load, tol=1e-11)
     n_s, n_u = dofs.n_stress, dofs.n_disp
-    box = grid.element_box((0,) * grid.dim)
-    m_loc = local_compliance_matrix(box, MAT)
-    b_loc = local_div_matrix(box)
+    m_loc = local_compliance_matrix(grid.spacing, MAT)
+    b_loc = local_div_matrix(grid.spacing)
     full = np.zeros((n_s + n_u, n_s + n_u))
     for e in range(grid.n_elements):
         s_idx = dofs.element_stress[e]
@@ -131,6 +134,30 @@ def test_singular_system_detected():
     with pytest.raises(ConvergenceError) as info:
         solve(broken, load)
     assert info.value.residual == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_load_rejected_before_iterating(bad):
+    # such a load used to run eight MINRES runs to maxiter (19 s at N=8) and
+    # return residual nan, which passed the check residual > tol
+    _, dofs, system, load = _assembled(n=8)
+    load = load.copy()
+    load[3] = bad
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="non-finite"):
+        solve(system, load)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nan_residual_fails_the_contract():
+    # a NaN in the matrix makes the residual NaN, which must not pass
+    _, dofs, system, load = _assembled(n=2)
+    m = system.M.copy()
+    m.data[5] = np.nan
+    broken = SaddleSystem(M=m, B=system.B, dofs=system.dofs, material=system.material)
+    with pytest.raises(ConvergenceError) as info:
+        solve(broken, load)
+    assert math.isnan(info.value.residual)
 
 
 def test_weak_form_consistent_with_pointwise_quadrature():
