@@ -3,12 +3,15 @@
 The system [[M, B^T], [B, 0]] is symmetric indefinite but nonsingular: M is
 positive definite on the whole stress space and B has full row rank.  It is
 solved by MINRES with the block-diagonal preconditioner of Silvester and
-Wathen (SIAM J. Numer. Anal. 1994): diag(M)^-1 on the stress block and, on
-the displacement block, the exact inverse of each component's block of the
-Schur complement S = B diag(M)^-1 B^T.  Those blocks are short sums of
-Kronecker products of 1D matrices on the uniform grid and are inverted by
-fast diagonalization (see ``_schur``), so the iteration count stays flat
-under mesh refinement.  The contract is only the relative residual
+Wathen (SIAM J. Numer. Anal. 1994).  Let Mb be M restricted to pairs of
+unknowns of the same tensor entry.  The stress block is Mb^-1, and the
+displacement block is the exact inverse of each component's block of the
+Schur complement S = B Mb^-1 B^T.  On the uniform grid every block of Mb is
+a Kronecker product of 1D Grams, inverted by tridiagonal solves, and every
+component block of S is a short sum of Kronecker products of 1D matrices,
+inverted by fast diagonalization (see ``_schur``), so the iteration count
+stays flat under mesh refinement.  The contract is only the relative
+residual
 
     || K x - [0, F] || / ||F|| <= tol,
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ._schur import SchurInverse
+from ._schur import SchurInverse, StressInverse
 from .assembly import SaddleSystem
 from .interpolate import DisplacementField, StressField
 
@@ -72,7 +75,9 @@ def solve(
     the right-hand side is zero.  ``method`` is ``"auto"`` or ``"minres"``,
     which both run the preconditioned MINRES.  Raises SolverError on a load
     with a NaN or inf entry, and ConvergenceError with the achieved residual
-    unless it is at most ``tol``.
+    unless it is at most ``tol``; a NaN or inf entry of M or B makes every
+    residual NaN, so it raises ConvergenceError with residual NaN before
+    iterating.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -84,6 +89,8 @@ def solve(
         raise ValueError(f"load vector must have length {dofs.n_disp}, got {load.shape}")
     if not np.isfinite(load).all():
         raise SolverError("load vector has non-finite entries")
+    if not (np.isfinite(system.M.data).all() and np.isfinite(system.B.data).all()):
+        raise ConvergenceError("system matrix has non-finite entries", np.nan)
 
     start = time.perf_counter()
     rhs = np.concatenate([np.zeros(dofs.n_stress), load])
@@ -116,7 +123,7 @@ def _solve_minres(system, rhs, rhs_norm, tol):
     start = time.perf_counter()
     n_stress = system.dofs.n_stress
     M, B, BT = system.M, system.B, system.B.T
-    inv_m_diag = 1.0 / M.diagonal()
+    stress_inverse = StressInverse(system.dofs, system.material)
     schur_inverse = SchurInverse(system.dofs.grid, system.material)
 
     # [[M, B^T], [B, 0]] applied block by block, so no copy of the whole
@@ -128,7 +135,7 @@ def _solve_minres(system, rhs, rhs_norm, tol):
 
     def apply(r):
         r = np.ravel(r)
-        return np.concatenate([inv_m_diag * r[:n_stress], schur_inverse(r[n_stress:])])
+        return np.concatenate([stress_inverse(r[:n_stress]), schur_inverse(r[n_stress:])])
 
     shape = (rhs.size, rhs.size)
     matrix = spla.LinearOperator(shape, matvec=multiply, dtype=float)

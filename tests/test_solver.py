@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 
 from elastmix.assembly import SaddleSystem, assemble, assemble_load, build_dof_map
 from elastmix.element import local_compliance_matrix, local_div_matrix
-from elastmix.grid import unit_grid
+from elastmix.grid import TensorGrid, unit_grid
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
 from elastmix.solver import (
@@ -160,6 +161,33 @@ def test_nan_residual_fails_the_contract():
     assert math.isnan(info.value.residual)
 
 
+@pytest.mark.parametrize("block", ["M", "B"])
+def test_non_finite_matrix_rejected_before_iterating(block, monkeypatch):
+    # a NaN in M or B used to run a whole MINRES to maxiter (2.5 s at N=8)
+    import scipy.sparse.linalg as spla
+
+    import elastmix.solver
+
+    _, _, system, load = _assembled(n=8)
+    matrix = getattr(system, block).copy()
+    matrix.data[5] = np.nan
+    broken = dataclasses.replace(system, **{block: matrix})
+    iterations = []
+    minres = spla.minres
+
+    def counting_minres(*args, callback, **kwargs):
+        def count(xk):
+            iterations.append(1)
+            callback(xk)
+
+        return minres(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(elastmix.solver.spla, "minres", counting_minres)
+    with pytest.raises(SolverError, match="non-finite"):
+        solve(broken, load)
+    assert len(iterations) == 0
+
+
 def test_weak_form_consistent_with_pointwise_quadrature():
     # evaluate the two bilinear forms by field evaluation and quadrature,
     # independently of the assembled matrices
@@ -255,6 +283,28 @@ def test_auto_minres_meets_contract_past_direct_limit():
     _, _, report = solve(system, load, tol=1e-11, method="auto")
     assert report.method == "minres"
     assert report.residual <= 1e-11
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 10)])
+def test_entry_block_preconditioner_iterations(dim, n):
+    # diag(M) in the stress block and its Schur complement took 127 and 119
+    assert _minres_iterations(dim, n) <= 85
+
+
+def test_anisotropic_box_meets_contract():
+    grid = TensorGrid(2, ((0.0, 1.0), (0.0, 1.0)), (256, 16))
+    dofs = build_dof_map(grid)
+    system = assemble(grid, MAT, dofs)
+    load = assemble_load(grid, sine_solution(2, MAT).f, dofs)
+    _, _, report = solve(system, load, tol=1e-11)
+    assert report.residual <= 1e-11
+    assert report.restarts <= 2
+
+
+def test_tight_tolerance_meets_contract_in_3d():
+    _, _, system, load = _assembled(n=12, dim=3)
+    _, _, report = solve(system, load, tol=1e-13)
+    assert report.residual <= 1e-13
 
 
 def test_tight_tolerance_meets_contract():
