@@ -32,6 +32,12 @@ Q_j diag(lam_j) Q_j^T.  Then
 
 applied with one tensor contraction per axis.  Storage is one scale per
 displacement unknown plus the 1D factors; no global matrix is formed.
+
+The factors are computed in float64 and stored in float32, and the
+contractions run in single precision; the solver's float64 residual and
+restarts make up the difference.  Each input is scaled by the power of two
+of its largest entry, which is exact and keeps float32 from overflowing or
+underflowing for any finite input.  ``StressInverse`` stays in float64.
 """
 
 from __future__ import annotations
@@ -221,9 +227,9 @@ class SchurInverse:
             lams, rotations = zip(*(eigh(L[j]) for j in others))
             lam_sum = sum(np.ix_(*lams))
             scale = 1.0 / (1.0 + lam_sum[..., None] * phi)
-            self._components.append(
-                (V.reshape(grid.subdivisions[c], 2, -1), rotations, scale)
-            )
+            factors = V.reshape(grid.subdivisions[c], 2, -1), *rotations, scale
+            V, *rotations, scale = (f.astype(np.float32) for f in factors)
+            self._components.append((V, rotations, scale))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         grid = self.grid
@@ -231,6 +237,8 @@ class SchurInverse:
         # displacement index = 2 dim (flat element) + 2 c + m, axis 0 fastest
         shape = grid.subdivisions[::-1] + (dim, 2)
         r = np.asarray(r).reshape(shape)
+        exponent = int(np.frexp(np.abs(r).max())[1])
+        r = np.ldexp(r, -exponent, out=np.empty(shape, np.float32))
         out = np.empty(shape)
         for c, (V, rotations, scale) in enumerate(self._components):
             axis_c = dim - 1 - c
@@ -242,4 +250,4 @@ class SchurInverse:
                 y = _along(y, pos, Q)
             y = np.tensordot(y, V, axes=([-1], [2]))
             out[..., c, :] = np.moveaxis(y, -2, axis_c)
-        return out.ravel()
+        return np.ldexp(out, exponent, out=out).ravel()

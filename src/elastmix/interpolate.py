@@ -27,6 +27,12 @@ from .grid import TensorGrid
 from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
 
 
+def _contract(local: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sum local coefficients (ne, nfun) against basis values (nfun, ...): one
+    matrix product over the flattened basis, (ne, ...)."""
+    return (local @ basis.reshape(basis.shape[0], -1)).reshape(local.shape[:1] + basis.shape[1:])
+
+
 @dataclass(frozen=True)
 class StressField:
     """Coefficient vector over the global stress unknowns of a DOF map."""
@@ -49,14 +55,14 @@ class StressField:
         """
         basis = eval_stress_basis(self.dofs.grid.dim, xi)
         local = self.coeffs[self.dofs.element_stress[elements]]
-        return np.einsum("el,lmij->emij", local, basis)
+        return _contract(local, basis)
 
     def div_elements(self, xi: np.ndarray, elements: slice = slice(None)) -> np.ndarray:
         """Divergence at reference points on the elements, (ne, m, dim)."""
         grid = self.dofs.grid
         div = eval_stress_basis_div(grid.dim, xi, grid.spacing)
         local = self.coeffs[self.dofs.element_stress[elements]]
-        return np.einsum("el,lmi->emi", local, div)
+        return _contract(local, div)
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ class DisplacementField:
         """
         basis = eval_disp_basis(self.dofs.grid.dim, xi)
         local = self.coeffs[self.dofs.element_disp[elements]]
-        return np.einsum("el,lmi->emi", local, basis)
+        return _contract(local, basis)
 
 
 def interp_stress(

@@ -106,7 +106,9 @@ def superclose_norms(
 
     d_sigma = (sigma_h.coeffs - pi_sigma.coeffs)[dofs.element_stress]
     l2_sq = float(np.einsum("el,lk,ek->", d_sigma, stress_l2_gram(h), d_sigma))
-    div_sq = float(np.einsum("el,lk,ek->", d_sigma, stress_divdiv_gram(h), d_sigma))
+    # zero in exact arithmetic (div sigma_h and div Pi sigma are both the
+    # projected load), so it can round below zero
+    div_sq = max(float(np.einsum("el,lk,ek->", d_sigma, stress_divdiv_gram(h), d_sigma)), 0.0)
 
     d_u = (u_h.coeffs - ph_u.coeffs)[dofs.element_disp]
     u_sq = float(np.einsum("el,lk,ek->", d_u, disp_mass(h), d_u))

@@ -5,7 +5,7 @@ import pytest
 
 from elastmix.assembly import build_dof_map
 from elastmix.element import eval_disp_basis
-from elastmix.grid import flat_strides, multi_index_array, unit_grid
+from elastmix.grid import TensorGrid, flat_strides, multi_index_array, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
     StressField,
@@ -243,6 +243,37 @@ def _whole_array_projection(grid, dofs, u, npts=5):
     coeffs = np.zeros(dofs.n_disp)
     coeffs[dofs.element_disp] = local.reshape(grid.n_elements, 2 * dim)
     return coeffs
+
+
+@pytest.mark.parametrize(
+    "dim, subs", [(2, (7, 5)), (3, (4, 3, 5)), (4, (3, 2, 3, 2))], ids=["2d", "3d", "4d"]
+)
+def test_basis_contractions_match_einsum(dim, subs):
+    from elastmix.element import eval_stress_basis, eval_stress_basis_div
+
+    rng = np.random.default_rng(dim)
+    grid = TensorGrid(dim, list(zip(*random_box(dim, rng))), subs)
+    dofs = build_dof_map(grid)
+    sigma = StressField(dofs, rng.standard_normal(dofs.n_stress))
+    u = DisplacementField(dofs, rng.standard_normal(dofs.n_disp))
+    xi, _ = tensor_rule(3, dim)
+    cells = slice(1, grid.n_elements - 1)
+    local_sigma = sigma.coeffs[dofs.element_stress[cells]]
+    local_u = u.coeffs[dofs.element_disp[cells]]
+    pairs = [
+        (
+            sigma.eval_elements(xi, cells),
+            np.einsum("el,lmij->emij", local_sigma, eval_stress_basis(dim, xi)),
+        ),
+        (
+            sigma.div_elements(xi, cells),
+            np.einsum("el,lmi->emi", local_sigma, eval_stress_basis_div(dim, xi, grid.spacing)),
+        ),
+        (u.eval_elements(xi, cells), np.einsum("el,lmi->emi", local_u, eval_disp_basis(dim, xi))),
+    ]
+    for values, expected in pairs:
+        assert values.shape == expected.shape
+        assert np.abs(values - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -78,7 +78,31 @@ def test_schur_inverse_undoes_component_blocks(dim, box, subs, material):
         block_diag[np.ix_(idx, idx)] = schur[np.ix_(idx, idx)]
     x = np.random.default_rng(dim).standard_normal(schur.shape[0])
     y = SchurInverse(grid, material)(block_diag @ x)
-    assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
+    # the contractions run in single precision
+    assert np.linalg.norm(y - x) <= 1e-5 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("dim, box, subs, material", CASES)
+def test_schur_inverse_scales_exactly_by_powers_of_two(dim, box, subs, material):
+    grid = TensorGrid(dim, box, subs)
+    inverse = SchurInverse(grid, material)
+    x = np.random.default_rng(dim).standard_normal(2 * dim * grid.n_elements)
+    y = inverse(x)
+    assert y.dtype == np.float64
+    for power in (300, -300):
+        assert np.array_equal(inverse(np.ldexp(x, power)), np.ldexp(y, power))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim, box, subs, material", CASES)
+def test_schur_inverse_of_huge_input_is_finite(dim, box, subs, material):
+    grid = TensorGrid(dim, box, subs)
+    inverse = SchurInverse(grid, material)
+    x = np.random.default_rng(dim).uniform(0.5, 1.0, 2 * dim * grid.n_elements)
+    y = inverse(1e300 * x)
+    assert np.isfinite(y).all()
+    expected = inverse(x)
+    assert np.abs(y / 1e300 - expected).max() <= 1e-5 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dim, box, subs, material", CASES)

@@ -16,6 +16,8 @@ from elastmix.solver import (
     ConvergenceError,
     SolveReport,
     SolverError,
+    _minres,
+    _saddle_operators,
     solve,
 )
 from poly_utils import full_matrix
@@ -164,8 +166,6 @@ def test_nan_residual_fails_the_contract():
 @pytest.mark.parametrize("block", ["M", "B"])
 def test_non_finite_matrix_rejected_before_iterating(block, monkeypatch):
     # a NaN in M or B used to run a whole MINRES to maxiter (2.5 s at N=8)
-    import scipy.sparse.linalg as spla
-
     import elastmix.solver
 
     _, _, system, load = _assembled(n=8)
@@ -173,19 +173,72 @@ def test_non_finite_matrix_rejected_before_iterating(block, monkeypatch):
     matrix.data[5] = np.nan
     broken = dataclasses.replace(system, **{block: matrix})
     iterations = []
-    minres = spla.minres
+    minres = elastmix.solver._minres
 
-    def counting_minres(*args, callback, **kwargs):
+    def counting_minres(*args):
+        *args, callback = args
+
         def count(xk):
             iterations.append(1)
             callback(xk)
 
-        return minres(*args, callback=count, **kwargs)
+        return minres(*args, count)
 
-    monkeypatch.setattr(elastmix.solver.spla, "minres", counting_minres)
+    monkeypatch.setattr(elastmix.solver, "_minres", counting_minres)
     with pytest.raises(SolverError, match="non-finite"):
         solve(broken, load)
     assert len(iterations) == 0
+
+
+def _linear_operator(f, size):
+    """``f(x, out)`` as a scipy LinearOperator."""
+    import scipy.sparse.linalg as spla
+
+    def matvec(x):
+        out = np.empty(size)
+        f(np.ravel(x), out)
+        return out
+
+    return spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 3)])
+def test_in_place_minres_matches_scipy(dim, n, warm):
+    import scipy.sparse.linalg as spla
+
+    _, dofs, system, load = _assembled(n=n, dim=dim)
+    rhs = np.concatenate([np.zeros(dofs.n_stress), load])
+    multiply, apply = _saddle_operators(system)
+    matrix, precond = _linear_operator(multiply, rhs.size), _linear_operator(apply, rhs.size)
+    x0 = spla.minres(matrix, rhs, rtol=1e-3, M=precond)[0] if warm else None
+    start = None if x0 is None else x0.copy()
+    for maxiter in (20 * rhs.size, 5):
+        ours, theirs = [], []
+        x = _minres(multiply, apply, rhs, x0, 1e-12, maxiter, ours.append)
+        expected, info = spla.minres(
+            matrix, rhs, x0=x0, rtol=1e-12, maxiter=maxiter, M=precond, callback=theirs.append
+        )
+        assert info == (0 if maxiter > 5 else 5)
+        assert 0 < len(ours) == len(theirs)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    if warm:
+        assert np.array_equal(x0, start)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 8), (4, 6)])
+def test_single_precision_schur_meets_contract_nearly_incompressible(dim, n):
+    grid = unit_grid(dim, n)
+    material = LameParams(mu=0.5, lam=1e8)
+    dofs = build_dof_map(grid)
+    system = assemble(grid, material, dofs)
+    load = assemble_load(grid, sine_solution(dim, material).f, dofs)
+    sigma_h, u_h, report = solve(system, load, tol=1e-11)
+    residual = np.concatenate(
+        [system.M @ sigma_h.coeffs + system.B.T @ u_h.coeffs, system.B @ sigma_h.coeffs - load]
+    )
+    assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(load)
+    assert report.residual <= 1e-11
 
 
 def test_weak_form_consistent_with_pointwise_quadrature():

@@ -299,3 +299,15 @@ def test_superclose_rate_exceeds_plain_rate():
         plain.append(level.record.sigma_hdiv)
         close.append(level.record.super_sigma_hdiv)
     assert fit_rate(hs, close) >= fit_rate(hs, plain) + 0.35
+
+
+@pytest.mark.filterwarnings("error")
+def test_superclose_norms_finite_nearly_incompressible():
+    # the div-div form of sigma_h - Pi sigma is zero in exact arithmetic and
+    # rounded below zero here, which made super_sigma_div NaN
+    from elastmix.study import run_level
+
+    for n in (8, 16, 32):
+        record = run_level(unit_grid(2, n), LameParams(mu=0.5, lam=1e8), "sine").record
+        assert np.isfinite(record.super_sigma_div)
+        assert np.isfinite(record.super_sigma_hdiv)
