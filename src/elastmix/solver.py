@@ -11,11 +11,14 @@ a Kronecker product of 1D Grams, inverted by tridiagonal solves, and every
 component block of S is a short sum of Kronecker products of 1D matrices,
 inverted by fast diagonalization (see ``_schur``; single-precision
 contractions on an input scaled by a power of two), so the iteration count
-stays flat under mesh refinement.  The iteration is scipy's MINRES (Paige
-and Saunders, SIAM J. Numer. Anal. 1975) run in place; each run ends with
-the residual measured in float64 and restarts from it, a mixed-precision
-refinement (Carson and Higham, SIAM J. Sci. Comput. 2018).  The contract is
-only the relative residual
+stays flat under mesh refinement.  The iteration is MINRES (Paige and
+Saunders, SIAM J. Numer. Anal. 1975) with scipy's recurrences, run in place
+from zero, and its one stop rule is on the preconditioned residual norm
+relative to that of the right-hand side, which does not depend on the units
+of the material.  Each run solves for the correction of the residual
+measured in float64, a mixed-precision refinement (Carson and Higham, SIAM
+J. Sci. Comput. 2018); the runs end when the contract holds or the residual
+no longer falls.  The contract is only the relative residual
 
     || K x - [0, F] || / ||F|| <= tol,
 
@@ -38,6 +41,14 @@ from .interpolate import DisplacementField, StressField
 # read and set only by the benchmark harness (perfbench); the solver ignores it
 DIRECT_SIZE_LIMIT = 200_000
 _METHODS = ("auto", "minres")
+# A MINRES run asks its preconditioned residual to fall to _MARGIN times the
+# reduction the contract still needs; the margin covers the gap to the true
+# residual, so one run meets the contract in every case measured (0.1 needs
+# a second run at 2D N >= 128).  The iteration count does not grow with the
+# mesh (34-137 in every case measured), so the cap per run is fixed: a cap
+# that grows with the size lets an inconsistent singular system run as long.
+_MARGIN = 0.03
+_MAX_RUN_ITERATIONS = 1000
 
 
 class SolverError(RuntimeError):
@@ -79,10 +90,10 @@ def solve(
     ``load`` is the displacement-block right-hand side; the stress block of
     the right-hand side is zero.  ``method`` is ``"auto"`` or ``"minres"``,
     which both run the preconditioned MINRES.  Raises SolverError on a load
-    with a NaN or inf entry, and ConvergenceError with the achieved residual
-    unless it is at most ``tol``; a NaN or inf entry of M or B makes every
-    residual NaN, so it raises ConvergenceError with residual NaN before
-    iterating.
+    with a NaN or inf entry or a norm that overflows, and ConvergenceError
+    with the achieved residual unless it is at most ``tol``; a NaN or inf
+    entry of M or B makes every residual NaN, so it raises ConvergenceError
+    with residual NaN before iterating.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -92,14 +103,15 @@ def solve(
     load = np.asarray(load, dtype=float)
     if load.shape != (dofs.n_disp,):
         raise ValueError(f"load vector must have length {dofs.n_disp}, got {load.shape}")
-    if not np.isfinite(load).all():
-        raise SolverError("load vector has non-finite entries")
+    with np.errstate(over="ignore"):
+        rhs_norm = float(np.linalg.norm(load))
+    if not math.isfinite(rhs_norm):  # NaN or inf entries, or finite ones that overflow
+        raise SolverError("load vector has non-finite entries or norm")
     if not (np.isfinite(system.M.data).all() and np.isfinite(system.B.data).all()):
         raise ConvergenceError("system matrix has non-finite entries", np.nan)
 
     start = time.perf_counter()
     rhs = np.concatenate([np.zeros(dofs.n_stress), load])
-    rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         report = SolveReport("trivial", 0.0, 0, time.perf_counter() - start)
         return (
@@ -155,53 +167,40 @@ def _solve_minres(system, rhs, rhs_norm, tol):
     def count(_):
         counter["n"] += 1
 
-    def minres(b, x0, rtol):
-        return _minres(multiply, apply, b, x0, rtol, 20 * b.size, count)
-
-    # the solver's internal test uses preconditioned norms, which can report
-    # convergence well before the true residual meets the contract; restart
-    # from the current iterate with a tighter inner tolerance while the
-    # measured residual falls.  Once it stalls, scipy's test is dominated by
-    # the size of the whole iterate, so solve for the correction from zero.
-    inner_rtol = rtol = max(tol / 10.0, 1e-15)
-    x = None
-    residual = np.inf
-    stalled = False
+    # each run solves for the correction of the residual measured in float64,
+    # so its stop rule is relative to that residual and free of the scale of x
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    residual = 1.0
     for run in range(8):
-        if stalled:
-            x = x + minres(r, None, inner_rtol)
-        else:
-            x = minres(rhs, x, rtol)
-        r = np.empty_like(rhs)
+        rtol = max(_MARGIN * tol / residual, np.finfo(float).eps)
+        x += _minres(multiply, apply, r, rtol, _MAX_RUN_ITERATIONS, count)
         multiply(x, r)
         np.subtract(rhs, r, out=r)
-        previous = residual
-        residual = float(np.linalg.norm(r)) / rhs_norm
-        if residual <= tol or not np.isfinite(residual) or (stalled and residual >= previous):
+        previous, residual = residual, float(np.linalg.norm(r)) / rhs_norm
+        if residual <= tol or not residual < previous:  # a NaN residual stops too
             break
-        stalled = stalled or residual >= previous
-        rtol = max(rtol * min(0.1, 0.1 * tol / residual), 1e-16)
     return x, residual, counter["n"], setup_time, run
 
 
-def _minres(multiply, apply, b, x0, rtol, maxiter, callback):
-    """Preconditioned MINRES for the symmetric system A x = b.
+def _minres(multiply, apply, b, rtol, maxiter, callback):
+    """Preconditioned MINRES for the symmetric system A x = b, from x = 0.
 
     ``multiply(x, out)`` writes A x and ``apply(r, out)`` the preconditioner
-    times r into ``out``; ``callback(x)`` runs after every iteration.  The
-    recurrences and stop tests are scipy's ``minres``, so the iterates agree
-    with scipy's up to rounding; they run in place on vectors allocated once.
+    P times r into ``out``; ``callback(x)`` runs after every iteration.  The
+    recurrences are scipy's ``minres``, run in place on vectors allocated
+    once, so the iterates agree with scipy's up to rounding.  The one stop
+    rule is ``phibar <= rtol * beta1``: phibar is the P-norm of the residual
+    of the current iterate and beta1 that of b, so the rule does not depend
+    on the scale of A, x or b.  A Lanczos breakdown (beta = 0) gives
+    phibar = 0 and stops under the same rule.
     """
     eps = np.finfo(float).eps
     # the iterate is allocated last: it outlives the work vectors, whose
     # space the next run can then reuse
     r1, r2, y, v, w1 = (np.empty_like(b) for _ in range(5))
-    w, w2 = np.zeros_like(b), np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
+    w, w2, x = (np.zeros_like(b) for _ in range(3))
     r1[:] = b
-    if x0 is not None:
-        multiply(x, y)
-        r1 -= y
     apply(r1, y)
     beta1 = float(np.inner(r1, y))
     if beta1 < 0:
@@ -210,8 +209,8 @@ def _minres(multiply, apply, b, x0, rtol, maxiter, callback):
         return x
     r2[:] = r1
     beta = phibar = beta1 = math.sqrt(beta1)
-    oldb = dbar = epsln = tnorm2 = gmax = sn = 0.0
-    gmin, cs = math.inf, -1.0
+    oldb = dbar = epsln = sn = 0.0
+    cs = -1.0
     for itn in range(1, maxiter + 1):
         # Lanczos step: basis vector v, next residual r2 and y = P r2; r1 and
         # w1 are dead until overwritten, so they serve as scratch
@@ -228,14 +227,10 @@ def _minres(multiply, apply, b, x0, rtol, maxiter, callback):
         if beta < 0:
             raise SolverError("minres breakdown: non-symmetric matrix or preconditioner")
         beta = math.sqrt(beta)
-        tnorm2 += alfa**2 + oldb**2 + beta**2
-        # beta2 = 0: the first basis vector spans an invariant subspace
-        lucky = itn == 1 and beta / beta1 <= 10 * eps
 
         # apply the previous plane rotation, then compute the next one
         oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
         epsln, dbar = sn * beta, -cs * beta
-        root = math.hypot(gbar, dbar)
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
@@ -246,17 +241,7 @@ def _minres(multiply, apply, b, x0, rtol, maxiter, callback):
         w -= np.multiply(w2, delta, out=v)
         w *= 1.0 / gamma
         x += np.multiply(w, phi, out=v)
-
-        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
-        anorm, ynorm = math.sqrt(tnorm2), float(np.linalg.norm(x))
-        # ||r|| / (||A|| ||x||) and ||A r|| / (||A|| ||r||)
-        tests = (phibar / (anorm * ynorm) if ynorm > 0 else math.inf, root / anorm)
         callback(x)
-        if (
-            lucky
-            or any(test <= rtol or 1.0 + test <= 1.0 for test in tests)  # rtol may be < eps
-            or gmax / gmin >= 0.1 / eps  # the estimate of cond(A)
-            or anorm * ynorm * eps >= beta1
-        ):
+        if phibar <= rtol * beta1:
             break
     return x
