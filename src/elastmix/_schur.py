@@ -49,7 +49,7 @@ from scipy.linalg import eigh, lapack
 from .assembly import DofMap
 from .element import _HATS, _ONE, _QUADRATICS, _T, _deriv, _integral
 from .grid import TensorGrid
-from .material import LameParams, apply_compliance
+from .material import LameParams
 
 # Reference-interval integrals behind the 1D factors, t in [0, 1]: the
 # derivatives of the dual quadratics (face 0, face 1, volume) and the hats
@@ -61,12 +61,13 @@ _HAT_MOMENTS = np.array([[_integral(hat, m) for hat in _HATS] for m in (_ONE, _T
 
 
 def _compliance_scales(material: LameParams, dim: int) -> tuple[float, float]:
-    """The compliance energy of a unit diagonal entry and of a unit shear pair."""
-    # the compliance is isotropic: axes 0 and 1 stand for every axis and pair
-    eye = np.eye(dim)
-    a_diag = apply_compliance(material, dim, np.outer(eye[0], eye[0]))[0, 0]
-    shear = np.outer(eye[0], eye[1]) + np.outer(eye[1], eye[0])
-    return a_diag, float(np.sum(apply_compliance(material, dim, shear) * shear))
+    """The compliance energy of a unit diagonal entry and of a unit shear pair.
+
+    A s = (s - lam / (2 mu + n lam) tr(s) I) / (2 mu); a shear pair has no
+    trace, and its two entries give 2 / (2 mu).
+    """
+    a_diag = (1.0 - material.lam / material.trace_factor(dim)) / (2.0 * material.mu)
+    return a_diag, 1.0 / material.mu
 
 
 def _element_by_node(local: np.ndarray, n: int) -> sp.csr_matrix:

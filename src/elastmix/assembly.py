@@ -160,9 +160,12 @@ def assemble_load(
     pts, w = tensor_rule(QUAD_POINTS, dim)
     psi = eval_disp_basis(dim, pts)
     load = np.zeros(dofs.n_disp)
-    for block, axes in element_blocks(grid):
-        local = grid.element_volume * np.einsum("eqi,bqi,q->eb", evaluate(f, axes), psi, w)
-        load[dofs.element_disp[block]] = local
+    # a field too large for float64 gives inf or NaN entries, which ``solve``
+    # rejects, so overflow here is not worth a warning of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, axes in element_blocks(grid):
+            local = grid.element_volume * np.einsum("eqi,bqi,q->eb", evaluate(f, axes), psi, w)
+            load[dofs.element_disp[block]] = local
     return load
 
 

@@ -128,16 +128,21 @@ def _eval_factors(factors: tuple[tuple[int, ...], ...], xi: np.ndarray):
     return value
 
 
+def _evaluate(terms, xi, shape: tuple[int, ...]) -> np.ndarray:
+    """A family of functions given as terms (see ``_stress_terms``) at points
+    ``xi``, shape (nfun, npts) + ``shape``; a term's key is its index there."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    out = np.zeros((len(terms), xi.shape[0]) + shape)
+    for a, function in enumerate(terms):
+        for key, scale, factors in function:
+            out[(a, slice(None)) + np.index_exp[key]] += scale * _eval_factors(factors, xi)
+    return out
+
+
 def eval_stress_basis(dim: int, xi: np.ndarray) -> np.ndarray:
     """Shape-function tensors at reference points, shape (nfun, npts, dim, dim)."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    table = element_table(dim)
-    out = np.zeros((len(table), xi.shape[0], dim, dim))
-    for a, dof in enumerate(table):
-        value = _eval_factors(dof.factors, xi)
-        for r, s in _entries(dof.entry):
-            out[a, :, r, s] = value
-    return out
+    value, _, _ = _stress_terms(np.ones(dim))
+    return _evaluate(value, xi, (dim, dim))
 
 
 def eval_stress_basis_div(dim: int, xi: np.ndarray, spacing: Sequence[float]) -> np.ndarray:
@@ -146,24 +151,13 @@ def eval_stress_basis_div(dim: int, xi: np.ndarray, spacing: Sequence[float]) ->
     ``spacing`` holds the element edge lengths; derivatives in scaled
     coordinates pick up a 1/h factor per axis.
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    h = np.asarray(spacing, dtype=float)
-    table = element_table(dim)
-    out = np.zeros((len(table), xi.shape[0], dim))
-    for a, dof in enumerate(table):
-        for r, s in _entries(dof.entry):
-            out[a, :, r] = _eval_factors(_derived(dof.factors, s), xi) / h[s]
-    return out
+    _, _, div = _stress_terms(np.asarray(spacing, dtype=float))
+    return _evaluate(div, xi, (dim,))
 
 
 def eval_disp_basis(dim: int, xi: np.ndarray) -> np.ndarray:
     """Displacement basis vectors at reference points, shape (2*dim, npts, dim)."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    out = np.zeros((2 * dim, xi.shape[0], dim))
-    for b in range(2 * dim):
-        c = b // 2
-        out[b, :, c] = xi[:, c] if b % 2 else 1.0
-    return out
+    return _evaluate(_disp_terms(dim), xi, (dim,))
 
 
 # -- local matrices -----------------------------------------------------------

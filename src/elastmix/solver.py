@@ -13,12 +13,15 @@ inverted by fast diagonalization (see ``_schur``; single-precision
 contractions on an input scaled by a power of two), so the iteration count
 stays flat under mesh refinement.  The iteration is MINRES (Paige and
 Saunders, SIAM J. Numer. Anal. 1975) with scipy's recurrences, run in place
-from zero, and its one stop rule is on the preconditioned residual norm
-relative to that of the right-hand side, which does not depend on the units
-of the material.  Each run solves for the correction of the residual
-measured in float64, a mixed-precision refinement (Carson and Higham, SIAM
-J. Sci. Comput. 2018); the runs end when the contract holds or the residual
-no longer falls.  The contract is only the relative residual
+from zero.  It stops on the contract's own residual: when its running
+estimate of the residual in the preconditioner's norm reaches the bound,
+the true residual is measured once, and a miss rescales the estimate's
+target by the measured gap.  No part of the rule depends on the units of
+the material.  Only a run that ends at its rounding floor or its cap is
+followed by a run for the correction of the residual measured in float64, a
+mixed-precision refinement (Carson and Higham, SIAM J. Sci. Comput. 2018);
+the runs end when the contract holds or the residual no longer falls.  The
+contract is only the relative residual
 
     || K x - [0, F] || / ||F|| <= tol,
 
@@ -41,13 +44,9 @@ from .interpolate import DisplacementField, StressField
 # read and set only by the benchmark harness (perfbench); the solver ignores it
 DIRECT_SIZE_LIMIT = 200_000
 _METHODS = ("auto", "minres")
-# A MINRES run asks its preconditioned residual to fall to _MARGIN times the
-# reduction the contract still needs; the margin covers the gap to the true
-# residual, so one run meets the contract in every case measured (0.1 needs
-# a second run at 2D N >= 128).  The iteration count does not grow with the
-# mesh (34-137 in every case measured), so the cap per run is fixed: a cap
-# that grows with the size lets an inconsistent singular system run as long.
-_MARGIN = 0.03
+# The iteration count does not grow with the mesh (34-137 in every case
+# measured), so the cap per run is fixed: a cap that grows with the size lets
+# an inconsistent singular system run as long.
 _MAX_RUN_ITERATIONS = 1000
 
 
@@ -120,14 +119,33 @@ def solve(
             report,
         )
 
-    x, residual, iterations, setup_time, restarts = _solve_minres(system, rhs, rhs_norm, tol)
+    multiply, apply = _saddle_operators(system)
+    setup_time = time.perf_counter() - start
+    iterations = [0]
+
+    def count(_):
+        iterations[0] += 1
+
+    # each run solves for the correction of the residual measured in float64
+    # and stops on the contract's bound, whose 2-norm is the same for every
+    # correction; a further run follows one that ended at its floor or cap
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    residual = 1.0
+    for restarts in range(8):
+        x += _minres(multiply, apply, r, tol * rhs_norm, _MAX_RUN_ITERATIONS, count)
+        multiply(x, r)
+        np.subtract(rhs, r, out=r)
+        previous, residual = residual, float(np.linalg.norm(r)) / rhs_norm
+        if residual <= tol or not residual < previous:  # a NaN residual stops too
+            break
     if not residual <= tol:  # a NaN residual fails too
         raise ConvergenceError(
             f"minres solve reached relative residual {residual:.3e} > tol {tol:.3e}",
             residual,
         )
     report = SolveReport(
-        "minres", residual, iterations, time.perf_counter() - start, setup_time, restarts
+        "minres", residual, iterations[0], time.perf_counter() - start, setup_time, restarts
     )
     return (
         StressField(dofs, x[: dofs.n_stress]),
@@ -157,43 +175,22 @@ def _saddle_operators(system):
     return multiply, apply
 
 
-def _solve_minres(system, rhs, rhs_norm, tol):
-    start = time.perf_counter()
-    multiply, apply = _saddle_operators(system)
-    setup_time = time.perf_counter() - start
-
-    counter = {"n": 0}
-
-    def count(_):
-        counter["n"] += 1
-
-    # each run solves for the correction of the residual measured in float64,
-    # so its stop rule is relative to that residual and free of the scale of x
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    residual = 1.0
-    for run in range(8):
-        rtol = max(_MARGIN * tol / residual, np.finfo(float).eps)
-        x += _minres(multiply, apply, r, rtol, _MAX_RUN_ITERATIONS, count)
-        multiply(x, r)
-        np.subtract(rhs, r, out=r)
-        previous, residual = residual, float(np.linalg.norm(r)) / rhs_norm
-        if residual <= tol or not residual < previous:  # a NaN residual stops too
-            break
-    return x, residual, counter["n"], setup_time, run
-
-
-def _minres(multiply, apply, b, rtol, maxiter, callback):
+def _minres(multiply, apply, b, atol, maxiter, callback):
     """Preconditioned MINRES for the symmetric system A x = b, from x = 0.
 
     ``multiply(x, out)`` writes A x and ``apply(r, out)`` the preconditioner
     P times r into ``out``; ``callback(x)`` runs after every iteration.  The
     recurrences are scipy's ``minres``, run in place on vectors allocated
-    once, so the iterates agree with scipy's up to rounding.  The one stop
-    rule is ``phibar <= rtol * beta1``: phibar is the P-norm of the residual
-    of the current iterate and beta1 that of b, so the rule does not depend
-    on the scale of A, x or b.  A Lanczos breakdown (beta = 0) gives
-    phibar = 0 and stops under the same rule.
+    once, so the iterates agree with scipy's up to rounding.
+
+    The run stops once ``||b - A x|| <= atol`` in the 2-norm.  That norm is
+    measured only where phibar, the P-norm of the residual of the current
+    iterate, falls to a target, at first ``atol / ||b||`` times beta1, the
+    P-norm of b, and never below the rounding floor ``eps * beta1``.  A
+    measurement above ``atol`` scales the target by the gap it shows and the
+    run goes on in the same Krylov space; a target below the floor stops it,
+    and so does a Lanczos breakdown (beta = 0, so phibar = 0).  No part of
+    the rule depends on the scale of A, x or b.
     """
     eps = np.finfo(float).eps
     # the iterate is allocated last: it outlives the work vectors, whose
@@ -209,6 +206,7 @@ def _minres(multiply, apply, b, rtol, maxiter, callback):
         return x
     r2[:] = r1
     beta = phibar = beta1 = math.sqrt(beta1)
+    target = max(atol / float(np.linalg.norm(b)), eps) * beta1
     oldb = dbar = epsln = sn = 0.0
     cs = -1.0
     for itn in range(1, maxiter + 1):
@@ -242,6 +240,15 @@ def _minres(multiply, apply, b, rtol, maxiter, callback):
         w *= 1.0 / gamma
         x += np.multiply(w, phi, out=v)
         callback(x)
-        if phibar <= rtol * beta1:
-            break
+        if phibar <= target:
+            # measure the 2-norm residual in v, dead until the next step
+            multiply(x, v)
+            norm = float(np.linalg.norm(np.subtract(b, v, out=v)))
+            if norm <= atol:
+                break
+            # scale the target by the measured gap; below the rounding floor
+            # (or at a breakdown, phibar = 0) only a correction run can close it
+            target = phibar * atol / norm
+            if target < eps * beta1:
+                break
     return x

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -191,12 +192,16 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_cli_non_finite_load_exit_code(tmp_path, capsys):
-    # lambda = 1e308 overflows the load; this used to exit 0 with a CSV of nan
+    # lambda = 1e308 overflows the load; this used to exit 0 with a CSV of nan,
+    # and later printed numpy's overflow warning before the failure line
     out = tmp_path / "overflow.csv"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["--lambda", "1e308", "--levels", "2,3,4", "--output", str(out)])
     assert code == 1
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("elastmix: numerical failure: ") and err.count("\n") == 1
+    assert "non-finite" in err
     assert not out.exists()
 
 

@@ -235,35 +235,40 @@ def test_in_place_minres_matches_scipy(dim, n):
     multiply, apply = _saddle_operators(system)
     matrix, precond = _linear_operator(multiply, rhs.size), _linear_operator(apply, rhs.size)
 
-    def p_norm(r):
-        out = np.empty_like(r)
-        apply(r, out)
-        return math.sqrt(r @ out)
-
-    def residual_p_norm(x):
-        out = np.empty_like(x)
-        multiply(x, out)
-        return p_norm(rhs - out)
-
-    rtol = 1e-12
+    atol = 1e-12 * np.linalg.norm(rhs)
     steps = []
-    x = _minres(multiply, apply, rhs, rtol, 1000, steps.append)
+    x = _minres(multiply, apply, rhs, atol, 1000, steps.append)
     stop = len(steps)
-    # the stop rule: the first iterate whose residual has P-norm at most
-    # rtol ||b||_P
-    bound = rtol * p_norm(rhs)
-    assert residual_p_norm(x) <= bound * (1 + 1e-8)
-    before = _minres(multiply, apply, rhs, rtol, stop - 1, lambda _: None)
-    assert residual_p_norm(before) > bound
+    # the stop rule: the 2-norm residual of the last iterate is at most atol
+    out = np.empty_like(x)
+    multiply(x, out)
+    assert np.linalg.norm(rhs - out) <= atol
     # scipy with rtol 0 runs exactly maxiter iterations of the same recurrences
     for maxiter in (5, stop):
         ours, theirs = [], []
-        x = _minres(multiply, apply, rhs, rtol, maxiter, ours.append)
+        x = _minres(multiply, apply, rhs, atol, maxiter, ours.append)
         expected, _ = spla.minres(
             matrix, rhs, rtol=0.0, maxiter=maxiter, M=precond, callback=theirs.append
         )
         assert len(ours) == len(theirs) == maxiter
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "dim, n, tol", [(2, 32, 1e-11), (3, 8, 1e-11), (4, 6, 1e-11), (3, 12, 1e-13)]
+)
+def test_stop_does_not_overshoot_the_contract(dim, n, tol):
+    # a fixed margin on the preconditioned residual stopped one run at tol / 48,
+    # tol / 83 and tol / 16 here; the measured stop ended above tol / 4 in
+    # every case measured up to 2D N=512
+    _, _, system, load = _assembled(n=n, dim=dim)
+    sigma_h, u_h, report = solve(system, load, tol=tol)
+    residual = np.concatenate(
+        [system.M @ sigma_h.coeffs + system.B.T @ u_h.coeffs, system.B @ sigma_h.coeffs - load]
+    )
+    assert tol / 10 < np.linalg.norm(residual) / np.linalg.norm(load) <= tol
+    assert tol / 10 < report.residual <= tol
+    assert report.restarts == 0
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 8), (4, 6)])
@@ -294,7 +299,7 @@ def test_contract_independent_of_material_scale(dim, n, mu, lam):
         [system.M @ sigma_h.coeffs + system.B.T @ u_h.coeffs, system.B @ sigma_h.coeffs - load]
     )
     assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(load)
-    assert report.restarts <= 1
+    assert report.restarts == 0
 
 
 def test_weak_form_consistent_with_pointwise_quadrature():
@@ -407,7 +412,7 @@ def test_anisotropic_box_meets_contract():
     load = assemble_load(grid, sine_solution(2, MAT).f, dofs)
     _, _, report = solve(system, load, tol=1e-11)
     assert report.residual <= 1e-11
-    assert report.restarts <= 2
+    assert report.restarts == 0
 
 
 def test_tight_tolerance_meets_contract_in_3d():
