@@ -30,15 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .element import (
-    disp_mass,
-    element_table,
-    eval_disp_basis,
-    local_compliance_matrix,
-    local_div_matrix,
-    stress_divdiv_gram,
-    stress_l2_gram,
-)
+from .element import element_table, eval_disp_basis, local_compliance_matrix, local_div_matrix
 from .grid import TensorGrid, flat_strides
 from .material import LameParams
 from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
@@ -167,24 +159,3 @@ def assemble_load(
             local = grid.element_volume * np.einsum("eqi,bqi,q->eb", evaluate(f, axes), psi, w)
             load[dofs.element_disp[block]] = local
     return load
-
-
-def assemble_stress_gram(grid: TensorGrid, dofs: DofMap) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Global L2 and div-div Gram matrices of the stress space (exact)."""
-    g_l2 = _scatter(
-        stress_l2_gram(grid.spacing), dofs.element_stress, dofs.element_stress,
-        (dofs.n_stress, dofs.n_stress),
-    )
-    g_div = _scatter(
-        stress_divdiv_gram(grid.spacing), dofs.element_stress, dofs.element_stress,
-        (dofs.n_stress, dofs.n_stress),
-    )
-    return g_l2, g_div
-
-
-def assemble_disp_mass(grid: TensorGrid, dofs: DofMap) -> sp.csr_matrix:
-    """Global mass matrix of the displacement space (exact, block diagonal)."""
-    return _scatter(
-        disp_mass(grid.spacing), dofs.element_disp, dofs.element_disp,
-        (dofs.n_disp, dofs.n_disp),
-    )

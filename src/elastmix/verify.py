@@ -12,7 +12,10 @@ The stability probes are sparse shift-invert eigensolves: the inf-sup
 constant is the square root of the smallest eigenvalue of B S^-1 B^T against
 the displacement mass matrix, with S the H(div) Gram of the stress space,
 and the kernel ellipticity ratio is the smallest Rayleigh quotient of the
-compliance form over the kernel of B.
+compliance form over the kernel of B.  Each probe sums the local saddle
+block over the cells, factors that one matrix, and lets eigsh in
+shift-invert mode about 0 apply a block of its inverse; the metric, also a
+cell sum, is only multiplied by.  No global matrix is assembled.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    DofMap,
-    assemble,
-    assemble_disp_mass,
-    assemble_stress_gram,
-    build_dof_map,
+from .assembly import build_dof_map
+from .element import (
+    disp_mass,
+    local_compliance_matrix,
+    local_div_matrix,
+    stress_divdiv_gram,
+    stress_l2_gram,
 )
-from .element import disp_mass, stress_divdiv_gram, stress_l2_gram
 from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
 from .manufactured import ExactSolution
@@ -91,6 +94,11 @@ def error_norms(
     )
 
 
+def _cell_form(d: np.ndarray, local: np.ndarray) -> float:
+    """Sum over the cells of d_e^T local d_e: one matmul and one dot."""
+    return float(np.vdot(d @ local, d))
+
+
 def superclose_norms(
     sigma_h: StressField,
     pi_sigma: StressField,
@@ -105,13 +113,11 @@ def superclose_norms(
     h = grid.spacing
 
     d_sigma = (sigma_h.coeffs - pi_sigma.coeffs)[dofs.element_stress]
-    l2_sq = float(np.einsum("el,lk,ek->", d_sigma, stress_l2_gram(h), d_sigma))
+    l2_sq = _cell_form(d_sigma, stress_l2_gram(h))
     # zero in exact arithmetic (div sigma_h and div Pi sigma are both the
     # projected load), so it can round below zero
-    div_sq = max(float(np.einsum("el,lk,ek->", d_sigma, stress_divdiv_gram(h), d_sigma)), 0.0)
-
-    d_u = (u_h.coeffs - ph_u.coeffs)[dofs.element_disp]
-    u_sq = float(np.einsum("el,lk,ek->", d_u, disp_mass(h), d_u))
+    div_sq = max(_cell_form(d_sigma, stress_divdiv_gram(h)), 0.0)
+    u_sq = _cell_form((u_h.coeffs - ph_u.coeffs)[dofs.element_disp], disp_mass(h))
 
     return ErrorRecord(
         h=grid.max_spacing,
@@ -138,27 +144,20 @@ def fit_rate(hs: Sequence[float], errors: Sequence[float]) -> float:
     return float(slope)
 
 
-def _closure_saddle(a: sp.csr_matrix, b: sp.csr_matrix, dofs: DofMap) -> sp.csc_matrix:
-    """[[a, b^T], [b, 0]] stored on the element closure of its blocks.
+def _cell_sum(local: np.ndarray, cells: np.ndarray, n: int) -> sp.csc_matrix:
+    """Sum over the cells of ``local`` on each cell's unknowns ``cells[e]``.
 
-    splu orders the columns by COLAMD on the stored pattern.  On the exact
-    pattern of M, B and the Grams that order fills the LU far more than on
-    the closure pattern, where every pair of unknowns sharing a cell is
-    stored (inf-sup saddle matrix at 2D N=32: nnz(L+U) 5.78 M against
-    1.00 M).  So every closure position of the a, b and b^T blocks is
-    carried as an explicit zero; COO -> CSC sums duplicates and keeps zeros.
+    Every local entry is stored, exact zeros included (COO -> CSC sums
+    duplicates and keeps zeros), so the pattern is the element closure: every
+    pair of unknowns sharing a cell.  splu orders the columns by COLAMD on the
+    stored pattern, and on the exact pattern of M, B and the Grams that order
+    fills the LU far more (inf-sup saddle matrix at 2D N=32: nnz(L+U) 5.78 M
+    against 0.89 M).
     """
-    s, u = dofs.element_stress, dofs.element_disp + dofs.n_stress
-    k = sp.bmat([[a, b.T], [b, None]], format="coo")
-    rows, cols = [k.row], [k.col]
-    for r, c in ((s, s), (u, s), (s, u)):
-        pairs = (r.shape[0], r.shape[1], c.shape[1])
-        rows.append(np.broadcast_to(r[:, :, None], pairs).ravel())
-        cols.append(np.broadcast_to(c[:, None, :], pairs).ravel())
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    data = np.zeros(rows.size)
-    data[: k.nnz] = k.data
-    return sp.coo_matrix((data, (rows, cols)), shape=k.shape).tocsc()
+    pairs = (cells.shape[0],) + local.shape
+    rows = np.broadcast_to(cells[:, :, None], pairs).ravel()
+    cols = np.broadcast_to(cells[:, None, :], pairs).ravel()
+    return sp.coo_matrix((np.broadcast_to(local, pairs).ravel(), (rows, cols)), (n, n)).tocsc()
 
 
 def _smallest_saddle_eigenvalue(
@@ -167,30 +166,41 @@ def _smallest_saddle_eigenvalue(
     """Smallest lam of K x = lam D x, K = [[A, B^T], [B, 0]], D nonzero on one block.
 
     Stress block: A = M, D = H(div) Gram S.  Displacement block: A = S, D =
-    displacement mass.  x -> +-D [K^-1 D x]_block has largest eigenvalue 1/lam
-    in the metric D; Lanczos from a seeded start repeats it to the last bit.
+    displacement mass.  K and D are cell sums of local matrices, and K is
+    factored once.  +-[K^-1]_block is the inverse of the operator whose
+    eigenvalues against D are the lam (see the probes), so eigsh in
+    shift-invert mode about 0 returns the smallest lam directly and only
+    multiplies by D.  Lanczos from a seeded start repeats it to the last bit.
     """
     dofs = build_dof_map(grid)
     if dofs.n_total > max_dofs:
         raise ValueError(f"probe has {dofs.n_total} unknowns, over the budget of {max_dofs}")
-    system = assemble(grid, material, dofs)
-    g_l2, g_div = assemble_stress_gram(grid, dofs)
+    h, stress, disp = grid.spacing, dofs.element_stress, dofs.element_disp
+    hdiv = stress_l2_gram(h) + stress_divdiv_gram(h)
     if on_stress:
-        a, d, block, sign = system.M, g_l2 + g_div, slice(0, dofs.n_stress), 1.0
+        a, d, cells, sign = local_compliance_matrix(h, material), hdiv, stress, 1.0
+        block = slice(0, dofs.n_stress)
     else:
-        d, block, sign = assemble_disp_mass(grid, dofs), slice(dofs.n_stress, None), -1.0
-        a = g_l2 + g_div
-    saddle = spla.splu(_closure_saddle(a, system.B, dofs))
+        a, d, cells, sign = hdiv, disp_mass(h), disp, -1.0
+        block = slice(dofs.n_stress, dofs.n_total)
+    b = local_div_matrix(h)
+    local = np.block([[a, b.T], [b, np.zeros((b.shape[0],) * 2)]])
+    saddle = spla.splu(_cell_sum(local, np.hstack([stress, disp + dofs.n_stress]), dofs.n_total))
+    metric = _cell_sum(d, cells, block.stop - block.start)
     rhs = np.zeros(dofs.n_total)
 
-    def apply(x):
-        rhs[block] = d @ x
-        return sign * (d @ saddle.solve(rhs)[block])
+    def inverse(y):
+        rhs[block] = y
+        return sign * saddle.solve(rhs)[block]
 
-    v0 = np.random.default_rng(0).standard_normal(d.shape[0])
-    op = spla.LinearOperator(d.shape, matvec=apply, dtype=float)
-    nu = spla.eigsh(op, k=1, M=d, which="LA", v0=v0, tol=1e-13, return_eigenvectors=False)
-    return float(1.0 / nu[0])
+    v0 = np.random.default_rng(0).standard_normal(metric.shape[0])
+    op = spla.LinearOperator(metric.shape, matvec=inverse, dtype=float)
+    # with OPinv given, shift-invert mode never multiplies by its first
+    # argument; the metric stands there for its shape
+    lam = spla.eigsh(
+        metric, k=1, M=metric, sigma=0.0, OPinv=op, v0=v0, tol=1e-13, return_eigenvectors=False
+    )
+    return float(lam[0])
 
 
 def infsup_probe(grid: TensorGrid, material: LameParams, max_dofs: int = 3000) -> float:

@@ -1,14 +1,21 @@
 """Random polynomial tensor fields with analytic derivatives, used as oracles,
 the meshes that exercise partial element blocks, one-cell grids, the full
-saddle matrix, dense stability probes and the local matrices by Gauss
-quadrature."""
+saddle matrix, the global Grams and displacement mass, dense stability
+probes and the local matrices by Gauss quadrature."""
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from elastmix.assembly import assemble, assemble_disp_mass, assemble_stress_gram, build_dof_map
-from elastmix.element import eval_disp_basis, eval_stress_basis, eval_stress_basis_div
+from elastmix.assembly import _scatter, assemble, build_dof_map
+from elastmix.element import (
+    disp_mass,
+    eval_disp_basis,
+    eval_stress_basis,
+    eval_stress_basis_div,
+    stress_divdiv_gram,
+    stress_l2_gram,
+)
 from elastmix.grid import TensorGrid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.material import apply_compliance
@@ -60,6 +67,18 @@ def local_field(coeffs, box):
 def full_matrix(system):
     """The assembled saddle matrix [[M, B^T], [B, 0]]."""
     return sp.bmat([[system.M, system.B.T], [system.B, None]], format="csr")
+
+
+def grams_and_mass(grid, dofs):
+    """Global L2 and div-div Grams of the stress space and the displacement
+    mass, scattered from the exact local matrices as M and B are."""
+    h, stress, disp = grid.spacing, dofs.element_stress, dofs.element_disp
+    n_s, n_u = (dofs.n_stress,) * 2, (dofs.n_disp,) * 2
+    return (
+        _scatter(stress_l2_gram(h), stress, stress, n_s),
+        _scatter(stress_divdiv_gram(h), stress, stress, n_s),
+        _scatter(disp_mass(h), disp, disp, n_u),
+    )
 
 
 class PolyTensorField:
@@ -144,9 +163,9 @@ def dense_stability_probes(grid, material):
     dofs = build_dof_map(grid)
     system = assemble(grid, material, dofs)
     m, b = system.M.toarray(), system.B.toarray()
-    g_l2, g_div = assemble_stress_gram(grid, dofs)
+    g_l2, g_div, mass_v = grams_and_mass(grid, dofs)
     hdiv_gram = (g_l2 + g_div).toarray()
-    mass_v = assemble_disp_mass(grid, dofs).toarray()
+    mass_v = mass_v.toarray()
 
     schur = b @ scipy.linalg.solve(hdiv_gram, b.T, assume_a="pos")
     eigs = scipy.linalg.eigh(0.5 * (schur + schur.T), mass_v, eigvals_only=True)

@@ -20,7 +20,7 @@ from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from elastmix.solver import solve
 from elastmix.study import StudyConfig, run_study
-from elastmix.verify import infsup_probe, kernel_ellipticity_probe
+from elastmix.verify import fit_rate, infsup_probe, kernel_ellipticity_probe
 from poly_utils import (
     PolyTensorField, full_matrix, local_dofs, local_field, random_box, random_spacing,
 )
@@ -240,6 +240,31 @@ def test_criterion_8_stability_probes():
         ok,
         f"beta_h {['%.4f' % b for b in betas]}, alpha {['%.6f' % a for a in alphas]} "
         f"(floor {floor:.6f}), {elapsed:.1f}s",
+    )
+
+
+@pytest.mark.parametrize("dim, levels", [(3, (2, 4, 6, 8)), (4, (2, 3, 4))], ids=["3d", "4d"])
+def test_criterion_8_stability_probes_any_dimension(dim, levels):
+    start = time.perf_counter()
+    hs, betas, alphas = [], [], []
+    for n in levels:
+        grid = unit_grid(dim, n)
+        hs.append(grid.max_spacing)
+        betas.append(infsup_probe(grid, MAT, max_dofs=10_000))
+        alphas.append(kernel_ellipticity_probe(grid, MAT, max_dofs=10_000))
+    slope = fit_rate(hs, betas)
+    floor = (1.0 - 1e-9) * MAT.compliance_floor(dim)
+    elapsed = time.perf_counter() - start
+    ok = (
+        all(0.9 <= b <= 1.0 for b in betas)
+        and abs(slope) <= 0.01
+        and all(a >= floor for a in alphas)
+    )
+    _report(
+        f"criterion 8 in {dim}D (h-stable inf-sup, kernel ellipticity)",
+        ok,
+        f"beta_h {['%.5f' % b for b in betas]} (slope {slope:.4f} against h), "
+        f"alpha {['%.6f' % a for a in alphas]} (floor {floor:.6f}), {elapsed:.1f}s",
     )
 
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from elastmix.assembly import (
-    assemble,
-    assemble_disp_mass,
-    assemble_load,
-    assemble_stress_gram,
-    build_dof_map,
-)
+from elastmix.assembly import assemble, assemble_load, build_dof_map
 from elastmix.element import (
     element_table,
     eval_disp_basis,
@@ -23,6 +17,7 @@ from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from poly_utils import (
+    grams_and_mass,
     kernel_basis,
     partial_block_grid,
     quadrature_compliance_matrix,
@@ -199,7 +194,7 @@ def test_kernel_fields_divergence_free_pointwise():
     grid = unit_grid(2, 2)
     dofs = build_dof_map(grid)
     system = assemble(grid, MAT, dofs)
-    g_l2, _ = assemble_stress_gram(grid, dofs)
+    g_l2, _, _ = grams_and_mass(grid, dofs)
     basis = kernel_basis(system.B.toarray())
     assert basis.shape[1] == dofs.n_stress - dofs.n_disp
     pts, w = tensor_rule(3, 2)
@@ -301,7 +296,7 @@ def test_affine_parameter_dependence():
 def test_disp_mass_block_diagonal():
     grid = unit_grid(2, 2)
     dofs = build_dof_map(grid)
-    mass = assemble_disp_mass(grid, dofs).toarray()
+    mass = grams_and_mass(grid, dofs)[2].toarray()
     eigs = np.linalg.eigvalsh(mass)
     assert eigs.min() > 0
     # unshared unknowns: exactly 2x2 blocks per element and component
@@ -355,7 +350,7 @@ def test_matrices_stored_on_exact_pattern(grid, lam):
     material = LameParams(0.6, lam)
     dofs = build_dof_map(grid)
     system = assemble(grid, material, dofs)
-    g_l2, g_div = assemble_stress_gram(grid, dofs)
+    g_l2, g_div, mass = grams_and_mass(grid, dofs)
     h = grid.spacing
     stress, disp = dofs.element_stress, dofs.element_disp
     cases = [
@@ -363,7 +358,7 @@ def test_matrices_stored_on_exact_pattern(grid, lam):
         (system.B, quadrature_div_matrix(h), disp, stress),
         (g_l2, quadrature_l2_gram(h), stress, stress),
         (g_div, quadrature_divdiv_gram(h), stress, stress),
-        (assemble_disp_mass(grid, dofs), quadrature_disp_mass(h), disp, disp),
+        (mass, quadrature_disp_mass(h), disp, disp),
     ]
     for matrix, local, rows, cols in cases:
         assert np.abs(matrix.data).min() > 1e-12 * np.abs(matrix.data).max()

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from elastmix.assembly import (
-    assemble_disp_mass,
-    assemble_stress_gram,
-    build_dof_map,
-)
+from elastmix.assembly import build_dof_map
 from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
@@ -25,7 +21,7 @@ from elastmix.verify import (
     kernel_ellipticity_probe,
     superclose_norms,
 )
-from poly_utils import dense_stability_probes, partial_block_grid
+from poly_utils import dense_stability_probes, grams_and_mass, partial_block_grid
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -169,8 +165,7 @@ def test_superclose_matches_global_gram_matvec():
         DisplacementField(dofs, ua),
         DisplacementField(dofs, ub),
     )
-    g_l2, g_div = assemble_stress_gram(grid, dofs)
-    mass = assemble_disp_mass(grid, dofs)
+    g_l2, g_div, mass = grams_and_mass(grid, dofs)
     d, du = a - b, ua - ub
     assert rec.super_sigma_l2**2 == pytest.approx(d @ (g_l2 @ d), rel=1e-12)
     assert rec.super_sigma_hdiv**2 == pytest.approx(
@@ -269,8 +264,9 @@ def test_infsup_probe_past_default_budget():
 
 def test_probe_lu_fill_on_closure_pattern(monkeypatch):
     # COLAMD on the exact pattern of the Grams fills the inf-sup LU 3.5x
-    # more (471k at 2D N=16); the closure pattern gives 133k for it and
-    # 107k for the kernel probe's LU
+    # more (471k at 2D N=16); the cell sum of the local saddle blocks stores
+    # every local entry, the element-closure pattern, which gives 140k for it
+    # and 117k for the kernel probe's LU, one LU per probe
     import scipy.sparse.linalg as spla
 
     fills = []
@@ -287,6 +283,26 @@ def test_probe_lu_fill_on_closure_pattern(monkeypatch):
     kernel_ellipticity_probe(grid, MAT)
     assert len(fills) == 2
     assert max(fills) < 200_000
+
+
+def test_probes_assemble_nothing_and_never_factor_the_metric(monkeypatch):
+    # the saddle matrix and the metric are cell sums of local matrices, and
+    # shift-invert eigsh only multiplies by the metric: no global assembly
+    # and no second LU, which eigsh's regular generalized mode would take
+    import importlib
+
+    import elastmix.assembly
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("global assembly or a factorization of the metric")
+
+    monkeypatch.setattr(elastmix.assembly, "_scatter", refuse)
+    monkeypatch.setattr(arpack, "get_inv_matvec", refuse)
+    grid = unit_grid(2, 8)
+    assert 0.9 <= infsup_probe(grid, MAT) <= 1.0
+    assert kernel_ellipticity_probe(grid, MAT) == pytest.approx(MAT.compliance_floor(2), rel=1e-9)
 
 
 def test_superclose_rate_exceeds_plain_rate():
