@@ -30,10 +30,10 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .element import element_table, eval_disp_basis, local_compliance_matrix, local_div_matrix
+from .element import _disp_terms, element_table, local_compliance_matrix, local_div_matrix
 from .grid import TensorGrid, flat_strides
 from .material import LameParams
-from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
+from .quadrature import _cell_moments
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,12 @@ class DofMap:
     @property
     def n_total(self) -> int:
         return self.n_stress + self.n_disp
+
+
+def check_grid(grid: TensorGrid, dofs: DofMap) -> None:
+    """Reject a DOF map built on another grid; an equal grid built again passes."""
+    if dofs.grid != grid:
+        raise ValueError(f"the DOF map belongs to another grid: {dofs.grid} is not {grid}")
 
 
 def build_dof_map(grid: TensorGrid) -> DofMap:
@@ -133,6 +139,7 @@ def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap | None = None)
     """Assemble the compliance block M and divergence block B on the grid."""
     if dofs is None:
         dofs = build_dof_map(grid)
+    check_grid(grid, dofs)
     m_loc = local_compliance_matrix(grid.spacing, material)
     b_loc = local_div_matrix(grid.spacing)
     M = _scatter(m_loc, dofs.element_stress, dofs.element_stress, (dofs.n_stress, dofs.n_stress))
@@ -147,15 +154,16 @@ def assemble_load(
 
     ``f`` maps points of shape (m, dim) to vectors of shape (m, dim); these
     moments of any such field are what ``project_displacement`` solves against.
+    Each cell's moments come from ``quadrature._cell_moments``: products of
+    1D Gauss sums for a separable field, a sum over the quadrature points for
+    any other.
     """
-    dim = grid.dim
-    pts, w = tensor_rule(QUAD_POINTS, dim)
-    psi = eval_disp_basis(dim, pts)
-    load = np.zeros(dofs.n_disp)
+    check_grid(grid, dofs)
+    load = np.empty(dofs.n_disp)
     # a field too large for float64 gives inf or NaN entries, which ``solve``
-    # rejects, so overflow here is not worth a warning of its own
+    # rejects, so overflow here (and inf - inf in the 1D products) is not
+    # worth a warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, axes in element_blocks(grid):
-            local = grid.element_volume * np.einsum("eqi,bqi,q->eb", evaluate(f, axes), psi, w)
-            load[dofs.element_disp[block]] = local
+        for cells, moments, _ in _cell_moments(grid, f, _disp_terms(grid.dim)):
+            load[dofs.element_disp[cells]] = grid.element_volume * moments
     return load

@@ -11,6 +11,11 @@ conforming by construction.
 The displacement projection is the elementwise L2-best approximation with
 component i in span{1, x_i}: the exact local displacement mass solved
 against the moments (u, psi_b), i.e. the load vector of u.
+
+Both take their averages and moments from ``quadrature._cell_moments``,
+slab by slab: for a separable exact field they are outer products of 1D
+Gauss sums, one per axis; any other field is summed over the quadrature
+points.
 """
 
 from __future__ import annotations
@@ -21,10 +26,17 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .assembly import DofMap, assemble_load
-from .element import disp_mass, eval_disp_basis, eval_stress_basis, eval_stress_basis_div
+from .assembly import DofMap, check_grid
+from .element import (
+    _disp_terms,
+    _ONE,
+    disp_mass,
+    eval_disp_basis,
+    eval_stress_basis,
+    eval_stress_basis_div,
+)
 from .grid import TensorGrid
-from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
+from .quadrature import _cell_moments
 
 
 def _contract(local: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -99,20 +111,19 @@ def interp_stress(
     with continuous entries; in 2D the off-diagonal functionals are vertex
     point values, so continuity is required, not just integrability.
     """
-    dim = grid.dim
-    coeffs = np.zeros(dofs.n_stress)
-    # families on one lattice share the evaluations of sigma: the volume
-    # averages of all diagonal components take one pass
-    lattices: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-    for (i, j), nodal, start in dofs.families:
-        lattices.setdefault(nodal, []).append((start, i, j))
-    for nodal, targets in lattices.items():
-        _, w = tensor_rule(QUAD_POINTS, dim - sum(nodal))
-        for block, axes in element_blocks(grid, nodal):
-            vals = evaluate(sigma, axes)
-            for start, i, j in targets:
-                coeffs[start + block.start : start + block.stop] = vals[:, :, i, j] @ w
-
+    check_grid(grid, dofs)
+    coeffs = np.empty(dofs.n_stress)
+    # the families on one lattice take one pass: the volume averages of all
+    # diagonal components are the moments of their entries against 1
+    lattices: dict[tuple[int, ...], list[tuple[tuple[int, int], int]]] = {}
+    for entry, nodal, start in dofs.families:
+        lattices.setdefault(nodal, []).append((entry, start))
+    one = (_ONE,) * grid.dim
+    for nodal, families in lattices.items():
+        averages = [[(entry, 1.0, one)] for entry, _ in families]
+        for cells, moments, _ in _cell_moments(grid, sigma, averages, nodal):
+            for column, (_, start) in enumerate(families):
+                coeffs[start + cells.start : start + cells.stop] = moments[:, column]
     return StressField(dofs, coeffs)
 
 
@@ -121,12 +132,12 @@ def project_displacement(
 ) -> DisplacementField:
     """Elementwise L2 projection of a vector field onto the displacement space.
 
-    The local mass is solved against the moments (u, psi_b) of ``assemble_load``,
-    in place of the gathered moments, so no third array of their size is held.
+    The local mass is solved slab by slab against the moments (u, psi_b) of
+    ``assemble_load``, so nothing of the result's size is held beside it.
     """
-    moments = assemble_load(grid, u, dofs)[dofs.element_disp]
-    mass = disp_mass(grid.spacing)
-    local = scipy.linalg.solve(mass, moments.T, overwrite_b=True, assume_a="pos")
+    check_grid(grid, dofs)
+    inverse = scipy.linalg.inv(disp_mass(np.ones(grid.dim)))  # on the reference cell
     coeffs = np.empty(dofs.n_disp)
-    coeffs[dofs.element_disp] = local.T
+    for cells, moments, _ in _cell_moments(grid, u, _disp_terms(grid.dim)):
+        coeffs[dofs.element_disp[cells]] = moments @ inverse
     return DisplacementField(dofs, coeffs)

@@ -15,49 +15,79 @@ P_ij, so in any dimension n >= 2
 
     f_i = (mu + lam) * (d_i G_i + sum_{j != i} H_ij) + mu * sum_j d_j G_j.
 
-One builder implements this; each factory only names phi, phi' and phi''.
-Each field is one formula over per-axis coordinates (``AxisField``): on a
-tensor-product block of quadrature points phi, phi' and phi'' run once per
-axis coordinate and the products broadcast, and on (m, n) points the same
-formula runs on the columns x[:, k].
+One builder writes each field as an ``AxisField``: per component, a short
+list of terms, each a scale times a sum of products of phi, phi' or phi''
+along every axis.  Each factory only names phi, phi' and phi''.  The data
+integrals take these terms axis by axis (``quadrature._cell_moments``); on
+points the same terms are evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .material import LameParams
 
+# A product of 1D factors: the derivative order of phi along each axis.
+Orders = tuple[int, ...]
+# One term of a component: its scale and the products it multiplies.
+Term = tuple[float, tuple[Orders, ...]]
+
 
 class AxisField:
-    """One field of a separable solution, written once over per-axis coordinates.
+    """One field of a separable solution, as per-component sums of products of 1D factors.
+
+    ``factors`` are the 1D functions phi, phi' and phi''; ``shape`` is the
+    value shape, (n,) or (n, n); ``terms`` maps every component index to its
+    terms (scale, products), and the component is the sum over its terms of
+    scale * sum_p prod_k factors[p[k]](x_k).  A term groups the products of
+    one scale, so sigma evaluates as mu (G_i + G_j) + lam (sum_k G_k)
+    delta_ij, bit for bit the stiffness applied to the strain of grad_u.
 
     ``on_axes(axes)`` takes one coordinate array per axis, arrays that
     broadcast against each other, and returns the values on their broadcast
-    shape with the ``rank`` value axes last.  On a tensor-product block of
-    points (``quadrature.element_blocks``) each axis holds only its own
-    coordinates, so phi, phi' and phi'' run on O(N q) values per axis and
-    the products broadcast.  The formula builds each component as one
-    contiguous array, so the result is a view with the value axes moved
-    last.  Called on points of shape (m, dim), the field applies the same
-    formula to the columns x[:, k] and returns a contiguous array.
+    shape with the value axes last; each factor runs once per axis and
+    each product once.  Called on points of shape (m, dim), the field does
+    the same on the columns x[:, k].
     """
 
-    def __init__(self, formula: Callable[[list[np.ndarray]], np.ndarray], rank: int):
-        self._formula = formula
-        self._rank = rank
+    def __init__(
+        self,
+        factors: Sequence[Callable[[np.ndarray], np.ndarray]],
+        shape: tuple[int, ...],
+        terms: dict[tuple[int, ...], tuple[Term, ...]],
+    ):
+        self.factors = tuple(factors)
+        self.shape = shape
+        self.terms = terms
 
     def on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        rank = self._rank
-        return np.moveaxis(self._formula(list(axes)), range(rank), range(-rank, 0))
+        factor, value = {}, {}
+
+        def evaluate(orders: Orders) -> np.ndarray:
+            if orders not in value:
+                for k, order in enumerate(orders):
+                    if (k, order) not in factor:
+                        factor[k, order] = self.factors[order](axes[k])
+                value[orders] = math.prod(factor[k, order] for k, order in enumerate(orders))
+            return value[orders]
+
+        out = np.empty(np.broadcast_shapes(*(np.shape(x) for x in axes)) + self.shape)
+        for index, terms in self.terms.items():
+            component = 0
+            for scale, products in terms:
+                component = component + scale * sum(map(evaluate, products))
+            out[(Ellipsis,) + index] = component
+        return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
-        return np.ascontiguousarray(self.on_axes([x[:, k] for k in range(x.shape[1])]))
+        return self.on_axes([x[:, k] for k in range(x.shape[1])])
 
 
 @dataclass(frozen=True)
@@ -66,7 +96,8 @@ class ExactSolution:
 
     All evaluators are vectorized over points of shape (m, dim); u and f
     return (m, dim), grad_u and sigma return (m, dim, dim).  The solutions
-    here pass ``AxisField``s, which ``quadrature.evaluate`` runs per axis.
+    here pass ``AxisField``s, whose integrals ``quadrature._cell_moments``
+    takes axis by axis.
     """
 
     name: str
@@ -84,64 +115,39 @@ def _separable(
     material: LameParams,
     phi: Callable[[np.ndarray], np.ndarray],
     dphi: Callable[[np.ndarray], np.ndarray],
-    ddphi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ddphi: Callable[[np.ndarray], np.ndarray],
 ) -> ExactSolution:
-    """The solution of the module docstring; ``ddphi(x, phi(x))`` gives phi''.
-
-    Every formula takes the list of per-axis coordinates x_k (see AxisField).
-    """
+    """The solution of the module docstring, from phi, phi' and phi''."""
     if n < 2:
         raise ValueError(f"manufactured solutions need dimension n >= 2, got {n}")
     mu, lam = material.mu, material.lam
 
-    def rest(values: list, *skip: int) -> np.ndarray:  # P_skip
-        return math.prod(v for k, v in enumerate(values) if k not in skip)
+    def orders(at: dict[int, int]) -> Orders:  # the order on some axes, phi on the rest
+        return tuple(at.get(k, 0) for k in range(n))
 
-    def gradient(x: list) -> list:  # G_j = phi'(x_j) P_j
-        p = [phi(xk) for xk in x]
-        return [dphi(xj) * rest(p, j) for j, xj in enumerate(x)]
+    plain = orders({})
+    grad = [orders({j: 1}) for j in range(n)]  # G_j
+    own = [orders({j: 2}) for j in range(n)]  # d_j G_j
 
-    # each formula returns its value axes first: component i is out[i]
-    def u(x: list) -> np.ndarray:
-        value = rest([phi(xk) for xk in x])
-        return np.broadcast_to(value, (n,) + value.shape)
-
-    def grad_u(x: list) -> np.ndarray:  # identical rows (G_0, ..., G_{n-1})
-        g = np.stack(gradient(x))
-        return np.broadcast_to(g, (n,) + g.shape)
-
-    def sigma(x: list) -> np.ndarray:  # mu (G_i + G_j) + lam (sum_k G_k) delta_ij
-        g = gradient(x)
-        trace = sum(g)
-        out = np.empty((n, n) + trace.shape)
-        for i in range(n):
-            for j in range(i, n):
-                entry = np.add(g[i], g[j], out=out[i, j])
-                entry *= mu
-                if i == j:
-                    entry += lam * trace
-                else:
-                    out[j, i] = entry
-        return out
-
-    def f(x: list) -> np.ndarray:
-        p = [phi(xk) for xk in x]
-        d = [dphi(xk) for xk in x]
-        own = [ddphi(xj, p[j]) * rest(p, j) for j, xj in enumerate(x)]  # d_j G_j
-        mixed = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                mixed[i, j] = mixed[j, i] = d[i] * d[j] * rest(p, i, j)  # H_ij
-        out = np.empty((n,) + own[0].shape)
-        for i in range(n):  # d_i G_i + sum_{j != i} H_ij
-            np.add(own[i], sum(mixed[i, j] for j in range(n) if j != i), out=out[i])
-        out *= mu + lam
-        out += mu * sum(own)
-        return out
-
+    pairs = list(product(range(n), repeat=2))
+    u = {(i,): ((1.0, (plain,)),) for i in range(n)}
+    grad_u = {(i, j): ((1.0, (grad[j],)),) for i, j in pairs}
+    sigma = {
+        (i, j): ((mu, (grad[i], grad[j])),) + (((lam, tuple(grad)),) if i == j else ())
+        for i, j in pairs
+    }
+    f = {
+        (i,): (
+            # (mu + lam) (d_i G_i + sum_{j != i} H_ij) + mu sum_j d_j G_j
+            (mu + lam, (own[i],) + tuple(orders({i: 1, j: 1}) for j in range(n) if j != i)),
+            (mu, tuple(own)),
+        )
+        for i in range(n)
+    }
+    factors = (phi, dphi, ddphi)
     return ExactSolution(
-        name, n, material, AxisField(u, 1), AxisField(grad_u, 2), AxisField(f, 1),
-        AxisField(sigma, 2),
+        name, n, material, AxisField(factors, (n,), u), AxisField(factors, (n, n), grad_u),
+        AxisField(factors, (n,), f), AxisField(factors, (n, n), sigma),
     )
 
 
@@ -151,7 +157,7 @@ def sine_solution(n: int, material: LameParams) -> ExactSolution:
         "sine", n, material,
         lambda x: np.sin(np.pi * x),
         lambda x: np.pi * np.cos(np.pi * x),
-        lambda x, p: -np.pi**2 * p,
+        lambda x: -np.pi**2 * np.sin(np.pi * x),
     )
 
 
@@ -161,7 +167,7 @@ def polynomial_solution(n: int, material: LameParams) -> ExactSolution:
         "polynomial", n, material,
         lambda x: x * (1.0 - x),
         lambda x: 1.0 - 2.0 * x,
-        lambda x, p: np.full_like(x, -2.0),
+        lambda x: np.full_like(x, -2.0),
     )
 
 

@@ -1,9 +1,20 @@
 """Error norms, superclose norms, rate fitting and stability probes.
 
-Continuous-versus-discrete errors are measured by elementwise tensor Gauss
-quadrature (QUAD_POINTS per axis) of the squared pointwise differences; the
-divergence of the exact stress is taken from the load evaluator, which is
-exact for manufactured solutions and avoids differentiating the stress.
+Continuous-versus-discrete errors are split cell by cell at the local L2
+projection P v of the exact field v: with m_e the moments of v against the
+local basis, G the local Gram, g_e = G^-1 m_e its projection and c_e the
+discrete coefficients,
+
+    ||v - v_h||_e^2 = max(||v||_e^2 - m_e . g_e, 0) + (g_e - c_e)^T G (g_e - c_e).
+
+The moments and ||v||_e^2 are the tensor Gauss rule (QUAD_POINTS per axis)
+of ``quadrature._cell_moments``, products of 1D sums for a separable field.
+The split never subtracts two global sums: the first part is the local
+projection error, the second a quadratic form of a coefficient difference.
+The divergence of the exact stress is taken from the load evaluator, which
+is exact for manufactured solutions and avoids differentiating the stress;
+div sigma_h lies in the displacement space, with coefficients
+disp_mass^-1 B_e c_e, so its split uses the displacement mass.
 Discrete-versus-discrete (superclose) norms are quadratic forms of
 coefficient differences in the local Gram matrices, hence carry no
 quadrature error at all.
@@ -21,14 +32,17 @@ cell sum, is only multiplied by.  No global matrix is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import build_dof_map
+from .assembly import build_dof_map, check_grid
 from .element import (
+    _disp_terms,
+    _stress_terms,
     disp_mass,
     local_compliance_matrix,
     local_div_matrix,
@@ -39,7 +53,7 @@ from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
 from .manufactured import ExactSolution
 from .material import LameParams
-from .quadrature import QUAD_POINTS, element_blocks, evaluate, tensor_rule
+from .quadrature import _cell_moments
 
 
 @dataclass(frozen=True)
@@ -62,26 +76,45 @@ class ErrorRecord:
     super_u_l2: float | None = None
 
 
+def _distance_sq(
+    grid: TensorGrid, field, functions, gram: np.ndarray, local: Callable[[slice], np.ndarray]
+) -> float:
+    """||v - v_h||^2 by the split of the module docstring, slab by slab.
+
+    ``functions`` and ``gram`` are the local basis on the reference cell and
+    its Gram; ``local(cells)`` gives v_h's coefficients on those cells.
+    """
+    inverse = scipy.linalg.inv(gram)
+    total = 0.0
+    for cells, moments, squares in _cell_moments(grid, field, functions, squares=True):
+        projection = moments @ inverse
+        best = (moments * projection).sum(axis=1)  # ||P v||_e^2
+        total += float(np.maximum(squares - best, 0.0).sum())
+        total += _cell_form(projection - local(cells), gram)
+    return total * grid.element_volume
+
+
 def error_norms(
     grid: TensorGrid, exact: ExactSolution, sigma_h: StressField, u_h: DisplacementField
 ) -> ErrorRecord:
     """L2 and H(div) errors of the stress and L2 error of the displacement."""
-    if sigma_h.dofs.grid is not grid or u_h.dofs.grid is not grid:
-        raise ValueError("fields do not live on the given grid")
-    dim = grid.dim
-    pts, w = tensor_rule(QUAD_POINTS, dim)
-    vol = grid.element_volume
-    sigma_l2_sq = sigma_div_sq = u_l2_sq = 0.0
-    for block, axes in element_blocks(grid):
-        sig_diff = evaluate(exact.sigma, axes) - sigma_h.eval_elements(pts, block)
-        sigma_l2_sq += float(np.einsum("eqij,eqij,q->", sig_diff, sig_diff, w))
-        div_diff = evaluate(exact.f, axes) - sigma_h.div_elements(pts, block)
-        sigma_div_sq += float(np.einsum("eqi,eqi,q->", div_diff, div_diff, w))
-        u_diff = evaluate(exact.u, axes) - u_h.eval_elements(pts, block)
-        u_l2_sq += float(np.einsum("eqi,eqi,q->", u_diff, u_diff, w))
-    sigma_l2_sq *= vol
-    sigma_div_sq *= vol
-    u_l2_sq *= vol
+    check_grid(grid, sigma_h.dofs)
+    check_grid(grid, u_h.dofs)
+    dim, h = grid.dim, grid.spacing
+    one = np.ones(dim)  # the reference cell
+    stress, _, _ = _stress_terms(one)
+    disp, mass = _disp_terms(dim), disp_mass(one)
+    # the coefficients of div sigma_h in the displacement basis, per cell
+    div = scipy.linalg.solve(disp_mass(h), local_div_matrix(h), assume_a="pos").T
+
+    def local_stress(cells):
+        return sigma_h.coeffs[sigma_h.dofs.element_stress[cells]]
+
+    sigma_l2_sq = _distance_sq(grid, exact.sigma, stress, stress_l2_gram(one), local_stress)
+    sigma_div_sq = _distance_sq(grid, exact.f, disp, mass, lambda cells: local_stress(cells) @ div)
+    u_l2_sq = _distance_sq(
+        grid, exact.u, disp, mass, lambda cells: u_h.coeffs[u_h.dofs.element_disp[cells]]
+    )
 
     return ErrorRecord(
         h=grid.max_spacing,

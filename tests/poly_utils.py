@@ -1,7 +1,7 @@
 """Random polynomial tensor fields with analytic derivatives, used as oracles,
 the meshes that exercise partial element blocks, one-cell grids, the full
 saddle matrix, the global Grams and displacement mass, dense stability
-probes and the local matrices by Gauss quadrature."""
+probes, pointwise error norms and the local matrices by Gauss quadrature."""
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +19,7 @@ from elastmix.element import (
 from elastmix.grid import TensorGrid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.material import apply_compliance
-from elastmix.quadrature import element_blocks, tensor_rule
+from elastmix.quadrature import QUAD_POINTS, element_blocks, tensor_rule
 
 
 def partial_block_grid(dim):
@@ -62,6 +62,26 @@ def local_field(coeffs, box):
         lambda x: field.eval_elements(xi(x))[0],
         lambda x: field.div_elements(xi(x))[0],
     )
+
+
+def pointwise_error_norms(grid, exact, sigma_h, u_h):
+    """(sigma_l2, sigma_div, u_l2) by the tensor Gauss rule of QUAD_POINTS per
+    axis at every quadrature point, block by block: the oracle of error_norms."""
+    dim = grid.dim
+    pts, w = tensor_rule(QUAD_POINTS, dim)
+    sums = np.zeros(3)
+    for block, axes in element_blocks(grid):
+        x = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, dim)
+        cells = (block.stop - block.start, len(w))
+        sig = exact.sigma(x).reshape(cells + (dim, dim)) - sigma_h.eval_elements(pts, block)
+        div = exact.f(x).reshape(cells + (dim,)) - sigma_h.div_elements(pts, block)
+        u = exact.u(x).reshape(cells + (dim,)) - u_h.eval_elements(pts, block)
+        sums += [
+            np.einsum("eqij,eqij,q->", sig, sig, w),
+            np.einsum("eqi,eqi,q->", div, div, w),
+            np.einsum("eqi,eqi,q->", u, u, w),
+        ]
+    return np.sqrt(grid.element_volume * sums)
 
 
 def full_matrix(system):

@@ -384,3 +384,27 @@ def test_assemble_memory_on_exact_pattern(dim, n, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak - before < limit_mib * 2**20
+
+
+# a DOF map and a grid that do not belong together: another N, another box
+_FOREIGN = [
+    (unit_grid(2, 4), build_dof_map(unit_grid(2, 8))),
+    (TensorGrid(2, ((0.0, 2.0), (0.0, 1.0)), (8, 8)), build_dof_map(unit_grid(2, 8))),
+]
+
+
+@pytest.mark.parametrize("grid, dofs", _FOREIGN, ids=["other-n", "other-box"])
+def test_load_rejects_a_dof_map_of_another_grid(grid, dofs):
+    with pytest.raises(ValueError, match="another grid"):
+        assemble_load(grid, sine_solution(2, MAT).f, dofs)
+    # an equal grid built again is the same grid
+    rebuilt = TensorGrid(2, dofs.grid.box, dofs.grid.subdivisions)
+    assert assemble_load(rebuilt, sine_solution(2, MAT).f, dofs).shape == (dofs.n_disp,)
+
+
+@pytest.mark.parametrize("grid, dofs", _FOREIGN, ids=["other-n", "other-box"])
+def test_assemble_rejects_a_dof_map_of_another_grid(grid, dofs):
+    with pytest.raises(ValueError, match="another grid"):
+        assemble(grid, MAT, dofs)
+    rebuilt = TensorGrid(2, dofs.grid.box, dofs.grid.subdivisions)
+    assert assemble(rebuilt, MAT, dofs).M.shape == (dofs.n_stress,) * 2

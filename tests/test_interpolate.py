@@ -325,3 +325,29 @@ def test_projection_holds_one_array_beside_its_result():
     finally:
         tracemalloc.stop()
     assert peak - before <= 2.5 * ph_u.coeffs.nbytes
+
+
+_FOREIGN = [
+    (unit_grid(2, 4), build_dof_map(unit_grid(2, 8))),
+    (TensorGrid(2, ((0.0, 2.0), (0.0, 1.0)), (8, 8)), build_dof_map(unit_grid(2, 8))),
+]
+
+
+@pytest.mark.parametrize("grid, dofs", _FOREIGN, ids=["other-n", "other-box"])
+def test_interpolation_rejects_a_dof_map_of_another_grid(grid, dofs):
+    with pytest.raises(ValueError, match="another grid"):
+        interp_stress(grid, dofs, sine_solution(2, MAT).sigma)
+    rebuilt = TensorGrid(2, dofs.grid.box, dofs.grid.subdivisions)
+    assert interp_stress(rebuilt, dofs, sine_solution(2, MAT).sigma).coeffs.shape == (
+        dofs.n_stress,
+    )
+
+
+@pytest.mark.parametrize("grid, dofs", _FOREIGN, ids=["other-n", "other-box"])
+def test_projection_rejects_a_dof_map_of_another_grid(grid, dofs):
+    with pytest.raises(ValueError, match="another grid"):
+        project_displacement(grid, dofs, sine_solution(2, MAT).u)
+    rebuilt = TensorGrid(2, dofs.grid.box, dofs.grid.subdivisions)
+    assert project_displacement(rebuilt, dofs, sine_solution(2, MAT).u).coeffs.shape == (
+        dofs.n_disp,
+    )

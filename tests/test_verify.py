@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
     StressField,
+    interp_stress,
     project_displacement,
 )
-from elastmix.manufactured import sine_solution
+from elastmix.manufactured import AxisField, sine_solution
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from elastmix.verify import (
@@ -21,7 +23,12 @@ from elastmix.verify import (
     kernel_ellipticity_probe,
     superclose_norms,
 )
-from poly_utils import dense_stability_probes, grams_and_mass, partial_block_grid
+from poly_utils import (
+    dense_stability_probes,
+    grams_and_mass,
+    partial_block_grid,
+    pointwise_error_norms,
+)
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -134,6 +141,66 @@ def test_blocked_error_norms_match_whole_array(dim):
     }
     for name, value in expected.items():
         assert getattr(rec, name) == pytest.approx(value, rel=1e-13)
+
+
+def _interpolated(grid, exact):
+    dofs = build_dof_map(grid)
+    return interp_stress(grid, dofs, exact.sigma), project_displacement(grid, dofs, exact.u)
+
+
+def test_error_norms_of_the_interpolants_match_pointwise_quadrature():
+    # sigma_h = Pi sigma and u_h = P_h u at 2D N=128: the errors are 1e-3 to
+    # 1e-2 of the norms, so the split cancels the most here of the levels
+    # the tests run
+    grid = unit_grid(2, 128)
+    exact = sine_solution(2, MAT)
+    pi_sigma, ph_u = _interpolated(grid, exact)
+    rec = error_norms(grid, exact, pi_sigma, ph_u)
+    oracle = pointwise_error_norms(grid, exact, pi_sigma, ph_u)
+    for name, expected in zip(("sigma_l2", "sigma_div", "u_l2"), oracle):
+        assert abs(getattr(rec, name) - expected) <= 1e-10 * expected, name
+
+
+def test_error_norms_nearly_incompressible_are_finite():
+    # sigma and f grow as lam; nothing may overflow or turn into NaN
+    material = LameParams(mu=0.5, lam=1e8)
+    grid = unit_grid(2, 16)
+    exact = sine_solution(2, material)
+    pi_sigma, ph_u = _interpolated(grid, exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = error_norms(grid, exact, pi_sigma, ph_u)
+    values = [rec.sigma_l2, rec.sigma_div, rec.sigma_hdiv, rec.u_l2]
+    assert all(0 < v < np.inf for v in values), values
+
+
+def _constant_stress(dim, value):
+    """sigma = value everywhere, as a separable field (phi = 1 on every axis)."""
+    one = lambda x: np.ones_like(x)  # noqa: E731
+    terms = {
+        (i, j): ((float(value[i, j]), ((0,) * dim,)),) for i in range(dim) for j in range(dim)
+    }
+    return AxisField((one, one, one), (dim, dim), terms)
+
+
+@pytest.mark.parametrize("path", ["separable", "points"])
+def test_error_norms_of_a_constant_stress_vanish(path):
+    # a constant stress lies in the discrete space, so its interpolant is
+    # exact and the first part of the split cancels to rounding; the clamp
+    # keeps its square root real
+    dim = 2
+    grid = TensorGrid(dim, ((0.0, 1.0), (-0.5, 2.0)), (9, 7))
+    value = np.array([[3.0, -1.5], [-1.5, 0.25]])
+    sigma = _constant_stress(dim, value)
+    if path == "points":
+        sigma = (lambda field: lambda x: field(x))(sigma)
+    exact = dataclasses.replace(sine_solution(dim, MAT), sigma=sigma)
+    dofs = build_dof_map(grid)
+    pi_sigma = interp_stress(grid, dofs, sigma)
+    rec = error_norms(grid, exact, pi_sigma, DisplacementField(dofs, np.zeros(dofs.n_disp)))
+    norm = np.sqrt(np.sum(value**2) * np.prod(grid.hi - grid.lo))
+    assert np.isfinite(rec.sigma_l2)
+    assert rec.sigma_l2 <= 1e-7 * norm
 
 
 def test_superclose_unit_volume_coefficient():
