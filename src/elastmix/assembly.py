@@ -13,18 +13,20 @@ conforming.  Displacement unknowns live in their own block, two per element
 and component, and are never shared.
 
 All elements of a uniform grid are congruent, so the local matrices are
-computed once and scattered everywhere.  The local matrices are exact
-products of 1D integrals with their structural zeros stored as exact 0.0,
-and only their nonzero entries are scattered, so each global matrix is
-stored on its exact sparsity pattern, not on every pair of unknowns that
-share a cell.  Duplicate triplets are summed by the sparse conversion, which
-is order independent.  The load is assigned cell by cell: displacement
-unknowns are never shared.
+computed once.  They are exact products of 1D integrals with their
+structural zeros stored as exact 0.0, and M and B are written directly as
+CSR on the pattern of the nonzero local entries.  A row p of M, a point of
+its family's lattice, meets the unknown p + delta of a family G through the
+local pairs with offset_b - offset_a = delta, on the cells p - offset_a that
+exist; ordered by G and then by delta, these groups give every row's columns
+sorted.  A row of B belongs to one cell, and every cell repeats one sorted
+local pattern.  The load is assigned cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -63,62 +65,119 @@ def check_grid(grid: TensorGrid, dofs: DofMap) -> None:
         raise ValueError(f"the DOF map belongs to another grid: {dofs.grid} is not {grid}")
 
 
+def _families(dim: int) -> tuple[tuple[tuple, ...], np.ndarray, np.ndarray]:
+    """The stress families (entry, nodal) in global order, and each local DOF's
+    family and entity offset."""
+    families: dict[tuple, int] = {}
+    of = [families.setdefault((dof.entry, dof.nodal), len(families)) for dof in element_table(dim)]
+    return tuple(families), np.array(of), np.array([dof.offset for dof in element_table(dim)])
+
+
+def _lattice_sum(dims, vectors, dtype=np.int64) -> np.ndarray:
+    """sum_k vectors[k][p_k] at every point p of the lattice ``dims``, flat with
+    axis 0 fastest; vector k has shape (dims[k],) + tail, the result (-1,) + tail."""
+    tail = vectors[0].shape[1:]
+    out = np.zeros(tuple(dims[::-1]) + tail, dtype)
+    for k, v in enumerate(vectors):
+        out += v.reshape(v.shape[:1] + (1,) * k + tail)
+    return out.reshape((-1,) + tail)
+
+
+def _columns(dims, starts, strides, shifts, dtype=np.int64) -> np.ndarray:
+    """starts[j] plus the flat position of p + shifts[j] in the lattice with
+    strides[j], at every point p of the lattice ``dims``: shape (-1, j)."""
+    vectors = [(np.arange(d)[:, None] + shifts[:, k]) * strides[:, k] for k, d in enumerate(dims)]
+    vectors[0] += starts
+    return _lattice_sum(dims, vectors, dtype)
+
+
 def build_dof_map(grid: TensorGrid) -> DofMap:
-    dim = grid.dim
-    elems = grid.element_multi_array()
-    ne = elems.shape[0]
+    dim, ne = grid.dim, grid.n_elements
     subs = np.asarray(grid.subdivisions)
-
-    starts: dict[tuple, int] = {}
-    n_stress = 0
-    columns = []
-    for dof in element_table(dim):
-        dims = subs + dof.nodal
-        family = (dof.entry, dof.nodal)
-        if family not in starts:
-            starts[family] = n_stress
-            n_stress += int(np.prod(dims))
-        columns.append(starts[family] + (elems + dof.offset) @ flat_strides(dims))
-    element_stress = np.stack(columns, axis=1)
-
-    base = np.arange(ne, dtype=np.int64)[:, None] * (2 * dim)
-    element_disp = base + np.arange(2 * dim, dtype=np.int64)[None, :]
+    families, family_of, offsets = _families(dim)
+    starts = np.cumsum([0] + [int(np.prod(subs + nodal)) for _, nodal in families])
+    strides = np.array([flat_strides(subs + nodal) for _, nodal in families])[family_of]
+    element_stress = _columns(subs, starts[family_of], strides, offsets)
+    element_disp = np.arange(2 * dim * ne, dtype=np.int64).reshape(ne, 2 * dim)
 
     element_stress.setflags(write=False)
     element_disp.setflags(write=False)
     return DofMap(
         grid=grid,
-        n_stress=n_stress,
+        n_stress=int(starts[-1]),
         n_disp=2 * dim * ne,
         element_stress=element_stress,
         element_disp=element_disp,
-        families=tuple((entry, nodal, start) for (entry, nodal), start in starts.items()),
+        families=tuple((e, n, int(s)) for (e, n), s in zip(families, starts)),
     )
 
 
-def _scatter(
-    local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
-) -> sp.csr_matrix:
-    """Scatter the nonzero entries of one local matrix over per-element index
-    arrays; duplicates sum, and sums that cancel to exactly 0.0 are not stored.
+def _index_dtype(size: int):
+    """int32 while every index and the triplet count fit, as scipy chooses."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
 
-    The local matrices hold their structural zeros as exact zeros, and the
-    div-div Gram also cancels exactly across cells: a face average of s_ii
-    meets a shear unknown of the pair (i, j) with opposite signs from the two
-    cells on either side of the face.  The triplets carry the index type the
-    CSR ends with (int32 while the shape and triplet count fit), so scipy does
-    not copy them to downcast.
-    """
-    r_loc, c_loc = np.nonzero(local)
-    ne = rows.shape[0]
-    size = max(shape + (ne * r_loc.size,))
-    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    r = rows.astype(index)[:, r_loc].ravel()
-    c = cols.astype(index)[:, c_loc].ravel()
-    data = np.broadcast_to(local[r_loc, c_loc], (ne, r_loc.size)).ravel()
-    matrix = sp.coo_matrix((data, (r, c)), shape=shape).tocsr()
-    matrix.eliminate_zeros()
-    return matrix
+
+@lru_cache(maxsize=None)
+def _row_stencils(dim: int, pattern: bytes):
+    """The (G, delta) groups of the local nonzeros ``pattern`` (flat indices, as
+    bytes) of a stress-stress matrix: whether each nonzero's cell exists at a
+    row of each boundary code, the nonzeros sorted by row family F, G and delta
+    from its last axis, where each group starts, and per F its groups."""
+    _, family_of, offsets = _families(dim)
+    nonzero = np.frombuffer(pattern, dtype=np.intp)
+    a, b = np.divmod(nonzero, offsets.shape[0])
+    # F, G and delta from its last axis, so that rows of ``key`` sort as groups
+    key = np.column_stack((family_of[a], family_of[b], (offsets[b] - offsets[a])[:, ::-1]))
+    order = np.lexsort(key.T[::-1])
+    group, starts = np.unique(key[order], axis=0, return_index=True)
+    bounds = np.searchsorted(group[:, 0], np.arange(family_of.max() + 2))
+    targets, deltas = group[:, 1], group[:, :1:-1]  # delta from its first axis again
+    rows = [(slice(lo, hi), targets[lo:hi], deltas[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    # code_k is 0 at the first point of axis k, 1 at the last of a nodal axis
+    # and 2 elsewhere: no cell lies at offset 0 of a code 1 point, or at 1 of 0
+    codes = np.array(list(np.ndindex((3,) * dim)))[:, ::-1]  # axis 0 fastest
+    exists = (codes[:, None, :] != 1 - offsets[a[order]]).all(axis=2)
+    return exists, nonzero[order], starts, rows
+
+
+def _stress_csr(local: np.ndarray, dofs: DofMap) -> sp.csr_matrix:
+    """The stress-stress matrix summed from ``local`` over the cells, row family
+    by row family; entries that sum to exactly 0.0 are not stored."""
+    grid, n = dofs.grid, dofs.n_stress
+    subs = np.asarray(grid.subdivisions)
+    exists, pairs, starts, rows = _row_stencils(grid.dim, np.flatnonzero(local).tobytes())
+    index = _index_dtype(max(n, grid.n_elements * pairs.size))
+    # each group's value at the rows of each boundary code
+    table = np.add.reduceat(np.where(exists, local.ravel()[pairs], 0.0), starts, axis=1)
+    family_starts = np.array([start for _, _, start in dofs.families])
+    strides = np.array([flat_strides(subs + nodal) for _, nodal, _ in dofs.families])
+    counts, data, indices = [[0]], [], []
+    for (_, nodal, _), (groups, targets, deltas) in zip(dofs.families, rows):
+        dims = subs + nodal
+        code = [np.array([0] + [2] * (d - 1 - c) + [1] * c) for d, c in zip(dims, nodal)]
+        values = table[:, groups][_lattice_sum(dims, [v * 3**k for k, v in enumerate(code)])]
+        keep = values != 0
+        counts.append(keep.sum(axis=1))
+        data.append(values[keep])
+        cols = _columns(dims, family_starts[targets], strides[targets], deltas, index)
+        indices.append(cols[keep])
+    indptr = np.cumsum(np.concatenate(counts), dtype=index)
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n))
+
+
+def _disp_csr(local: np.ndarray, dofs: DofMap) -> sp.csr_matrix:
+    """The displacement-stress matrix of ``local``.  Displacement unknowns are
+    never shared, so every cell repeats the local nonzeros, each row's columns
+    in the order the cell's stress unknowns have on every cell."""
+    r, c = np.nonzero(local)
+    order = np.lexsort((dofs.element_stress[0, c], r))
+    r, c = r[order], c[order]
+    ne, n_loc = dofs.element_disp.shape
+    index = _index_dtype(max(dofs.n_disp, dofs.n_stress, ne * r.size))
+    indptr = np.cumsum(np.r_[0, np.tile(np.bincount(r, minlength=n_loc), ne)], dtype=index)
+    indices = np.take(dofs.element_stress.astype(index), c, axis=1).ravel()
+    data = np.tile(local[r, c], ne)
+    return sp.csr_matrix((data, indices, indptr), shape=(dofs.n_disp, dofs.n_stress))
 
 
 @dataclass(frozen=True)
@@ -142,8 +201,8 @@ def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap | None = None)
     check_grid(grid, dofs)
     m_loc = local_compliance_matrix(grid.spacing, material)
     b_loc = local_div_matrix(grid.spacing)
-    M = _scatter(m_loc, dofs.element_stress, dofs.element_stress, (dofs.n_stress, dofs.n_stress))
-    B = _scatter(b_loc, dofs.element_disp, dofs.element_stress, (dofs.n_disp, dofs.n_stress))
+    M = _stress_csr(m_loc, dofs)
+    B = _disp_csr(b_loc, dofs)
     return SaddleSystem(M=M, B=B, dofs=dofs, material=material)
 
 

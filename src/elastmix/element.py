@@ -141,8 +141,7 @@ def _evaluate(terms, xi, shape: tuple[int, ...]) -> np.ndarray:
 
 def eval_stress_basis(dim: int, xi: np.ndarray) -> np.ndarray:
     """Shape-function tensors at reference points, shape (nfun, npts, dim, dim)."""
-    value, _, _ = _stress_terms(np.ones(dim))
-    return _evaluate(value, xi, (dim, dim))
+    return _evaluate(_unit_cell(dim)[0], xi, (dim, dim))
 
 
 def eval_stress_basis_div(dim: int, xi: np.ndarray, spacing: Sequence[float]) -> np.ndarray:
@@ -227,6 +226,20 @@ def _positive(spacing: Sequence[float]) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _unit_cell(dim: int):
+    """The stress and displacement shape functions as terms, the Frobenius Gram
+    of the stress basis, the Gram of its traces and the displacement mass, all
+    on a cell of unit volume: values, unlike derivatives, do not scale with
+    the edge lengths."""
+    value, trace, _ = _stress_terms(np.ones(dim))
+    psi = _disp_terms(dim)
+    grams = _inner(value, value), _inner(trace, trace), _inner(psi, psi)
+    for gram in grams:
+        gram.setflags(write=False)
+    return (value, psi) + grams
+
+
 def local_compliance_matrix(spacing: Sequence[float], material: LameParams) -> np.ndarray:
     """(A phi_a, phi_b) over a cell of edge lengths ``spacing``; symmetric positive definite.
 
@@ -234,10 +247,9 @@ def local_compliance_matrix(spacing: Sequence[float], material: LameParams) -> n
     Frobenius Gram minus a multiple of the Gram of the traces.
     """
     h = _positive(spacing)
-    value, trace, _ = _stress_terms(h)
+    _, _, value, trace, _ = _unit_cell(h.size)
     coupling = material.lam / material.trace_factor(h.size)
-    mat = _inner(value, value) - coupling * _inner(trace, trace)
-    return (float(np.prod(h)) / (2.0 * material.mu)) * mat
+    return (float(np.prod(h)) / (2.0 * material.mu)) * (value - coupling * trace)
 
 
 def local_div_matrix(spacing: Sequence[float]) -> np.ndarray:
@@ -250,8 +262,7 @@ def local_div_matrix(spacing: Sequence[float]) -> np.ndarray:
 def stress_l2_gram(spacing: Sequence[float]) -> np.ndarray:
     """(phi_a, phi_b) Frobenius Gram of the stress basis; exact."""
     h = _positive(spacing)
-    value, _, _ = _stress_terms(h)
-    return float(np.prod(h)) * _inner(value, value)
+    return float(np.prod(h)) * _unit_cell(h.size)[2]
 
 
 def stress_divdiv_gram(spacing: Sequence[float]) -> np.ndarray:
@@ -264,5 +275,4 @@ def stress_divdiv_gram(spacing: Sequence[float]) -> np.ndarray:
 def disp_mass(spacing: Sequence[float]) -> np.ndarray:
     """(psi_a, psi_b) Gram of the displacement basis; exact."""
     h = _positive(spacing)
-    psi = _disp_terms(h.size)
-    return float(np.prod(h)) * _inner(psi, psi)
+    return float(np.prod(h)) * _unit_cell(h.size)[4]

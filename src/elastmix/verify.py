@@ -41,8 +41,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import build_dof_map, check_grid
 from .element import (
-    _disp_terms,
-    _stress_terms,
+    _unit_cell,
     disp_mass,
     local_compliance_matrix,
     local_div_matrix,
@@ -100,17 +99,15 @@ def error_norms(
     """L2 and H(div) errors of the stress and L2 error of the displacement."""
     check_grid(grid, sigma_h.dofs)
     check_grid(grid, u_h.dofs)
-    dim, h = grid.dim, grid.spacing
-    one = np.ones(dim)  # the reference cell
-    stress, _, _ = _stress_terms(one)
-    disp, mass = _disp_terms(dim), disp_mass(one)
+    h = grid.spacing
+    stress, disp, gram, _, mass = _unit_cell(grid.dim)  # the reference cell
     # the coefficients of div sigma_h in the displacement basis, per cell
     div = scipy.linalg.solve(disp_mass(h), local_div_matrix(h), assume_a="pos").T
 
     def local_stress(cells):
         return sigma_h.coeffs[sigma_h.dofs.element_stress[cells]]
 
-    sigma_l2_sq = _distance_sq(grid, exact.sigma, stress, stress_l2_gram(one), local_stress)
+    sigma_l2_sq = _distance_sq(grid, exact.sigma, stress, gram, local_stress)
     sigma_div_sq = _distance_sq(grid, exact.f, disp, mass, lambda cells: local_stress(cells) @ div)
     u_l2_sq = _distance_sq(
         grid, exact.u, disp, mass, lambda cells: u_h.coeffs[u_h.dofs.element_disp[cells]]

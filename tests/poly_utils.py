@@ -1,13 +1,14 @@
 """Random polynomial tensor fields with analytic derivatives, used as oracles,
 the meshes that exercise partial element blocks, one-cell grids, the full
-saddle matrix, the global Grams and displacement mass, dense stability
-probes, pointwise error norms and the local matrices by Gauss quadrature."""
+saddle matrix, the triplet scatter of local matrices (the oracle of the
+assembly), the global Grams and displacement mass, dense stability probes,
+pointwise error norms and the local matrices by Gauss quadrature."""
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from elastmix.assembly import _scatter, assemble, build_dof_map
+from elastmix.assembly import assemble, build_dof_map
 from elastmix.element import (
     disp_mass,
     eval_disp_basis,
@@ -89,15 +90,38 @@ def full_matrix(system):
     return sp.bmat([[system.M, system.B.T], [system.B, None]], format="csr")
 
 
+def scatter(local, rows, cols, shape):
+    """Scatter the nonzero entries of one local matrix over per-element index
+    arrays; duplicates sum, and sums that cancel to exactly 0.0 are not stored.
+
+    The local matrices hold their structural zeros as exact zeros, and the
+    div-div Gram also cancels exactly across cells: a face average of s_ii
+    meets a shear unknown of the pair (i, j) with opposite signs from the two
+    cells on either side of the face.  The triplets carry the index type the
+    CSR ends with (int32 while the shape and triplet count fit), so scipy does
+    not copy them to downcast.  This is the oracle of ``assemble``.
+    """
+    r_loc, c_loc = np.nonzero(local)
+    ne = rows.shape[0]
+    size = max(shape + (ne * r_loc.size,))
+    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    r = rows.astype(index)[:, r_loc].ravel()
+    c = cols.astype(index)[:, c_loc].ravel()
+    data = np.broadcast_to(local[r_loc, c_loc], (ne, r_loc.size)).ravel()
+    matrix = sp.coo_matrix((data, (r, c)), shape=shape).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def grams_and_mass(grid, dofs):
     """Global L2 and div-div Grams of the stress space and the displacement
     mass, scattered from the exact local matrices as M and B are."""
     h, stress, disp = grid.spacing, dofs.element_stress, dofs.element_disp
     n_s, n_u = (dofs.n_stress,) * 2, (dofs.n_disp,) * 2
     return (
-        _scatter(stress_l2_gram(h), stress, stress, n_s),
-        _scatter(stress_divdiv_gram(h), stress, stress, n_s),
-        _scatter(disp_mass(h), disp, disp, n_u),
+        scatter(stress_l2_gram(h), stress, stress, n_s),
+        scatter(stress_divdiv_gram(h), stress, stress, n_s),
+        scatter(disp_mass(h), disp, disp, n_u),
     )
 
 

@@ -11,7 +11,7 @@ from elastmix.element import (
     local_compliance_matrix,
     local_div_matrix,
 )
-from elastmix.grid import TensorGrid, multi_index_array, unit_grid
+from elastmix.grid import TensorGrid, flat_strides, multi_index_array, unit_grid
 from elastmix.interpolate import StressField, interp_stress
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
@@ -25,6 +25,7 @@ from poly_utils import (
     quadrature_div_matrix,
     quadrature_divdiv_gram,
     quadrature_l2_gram,
+    scatter,
 )
 
 MAT = LameParams(mu=0.5, lam=1.0)
@@ -68,6 +69,21 @@ SHARING_GRIDS = [
     TensorGrid(3, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3)), (2, 1, 3)),
     TensorGrid(4, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3), (0.0, 2.0)), (2, 1, 3, 2)),
 ]
+
+
+def test_dof_map_is_the_multi_index_numbering():
+    # local DOF a on cell c: its family's start plus the flat position of
+    # c + offset_a in the family's lattice, one int64 matmul per local DOF
+    for grid in SHARING_GRIDS + [unit_grid(2, 5), unit_grid(3, 3)]:
+        dofs = build_dof_map(grid)
+        cells = multi_index_array(grid.subdivisions)
+        starts = {(entry, nodal): start for entry, nodal, start in dofs.families}
+        assert dofs.element_stress.dtype == dofs.element_disp.dtype == np.int64
+        for a, dof in enumerate(element_table(grid.dim)):
+            strides = flat_strides(np.asarray(grid.subdivisions) + dof.nodal)
+            expected = starts[dof.entry, dof.nodal] + (cells + dof.offset) @ strides
+            assert np.array_equal(dofs.element_stress[:, a], expected)
+        assert np.array_equal(dofs.element_disp.ravel(), np.arange(dofs.n_disp))
 
 
 def test_entity_sharing_counts():
@@ -369,6 +385,42 @@ def test_matrices_stored_on_exact_pattern(grid, lam):
         assert np.array_equal(matrix.indptr, oracle.indptr)
         assert np.array_equal(matrix.indices, oracle.indices)
         assert np.all(np.abs(matrix.data - oracle.data) <= 1e-14 * np.abs(oracle.data))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["2d", "3d", "4d-one-cell-axis"])
+def test_direct_csr_equals_the_scattered_triplets(grid, lam):
+    # bit for bit the CSR of the COO triplets with duplicates summed; lam = 0
+    # drops the trace coupling and with it entries of M's pattern
+    material = LameParams(0.6, lam)
+    dofs = build_dof_map(grid)
+    system = assemble(grid, material, dofs)
+    for matrix, local, rows in (
+        (system.M, local_compliance_matrix(grid.spacing, material), dofs.element_stress),
+        (system.B, local_div_matrix(grid.spacing), dofs.element_disp),
+    ):
+        oracle = scatter(local, rows, dofs.element_stress, matrix.shape)
+        assert matrix.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            got, expected = getattr(matrix, name), getattr(oracle, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+
+@pytest.mark.parametrize("dim, n", [(2, 256), (3, 24), (4, 10)])
+def test_assemble_peak_memory_near_the_csr_it_returns(dim, n):
+    # the triplets, their sort and the duplicate sum peaked at 1.76-1.87
+    # times the CSR arrays kept
+    grid = unit_grid(dim, n)
+    dofs = build_dof_map(grid)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        system = assemble(grid, MAT, dofs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (system.M, system.B))
+    assert peak - before <= 1.4 * kept
 
 
 @pytest.mark.parametrize("dim, n, limit_mib", [(2, 256, 100), (3, 24, 64)])

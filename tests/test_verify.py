@@ -365,7 +365,8 @@ def test_probes_assemble_nothing_and_never_factor_the_metric(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("global assembly or a factorization of the metric")
 
-    monkeypatch.setattr(elastmix.assembly, "_scatter", refuse)
+    monkeypatch.setattr(elastmix.assembly, "_stress_csr", refuse)
+    monkeypatch.setattr(elastmix.assembly, "_disp_csr", refuse)
     monkeypatch.setattr(arpack, "get_inv_matvec", refuse)
     grid = unit_grid(2, 8)
     assert 0.9 <= infsup_probe(grid, MAT) <= 1.0
