@@ -30,17 +30,28 @@ Q_j diag(lam_j) Q_j^T.  Then
 
     S_c^-1 = (V (x) Q) diag(1 / (1 + phi (x) sum_j lam_j)) (V (x) Q)^T,
 
-applied with one tensor contraction per axis.  Storage is one scale per
+applied with one matrix product per axis.  Storage is one scale per
 displacement unknown plus the 1D factors; no global matrix is formed.
 
-The factors are computed in float64 and stored in float32, and the
-contractions run in single precision; the solver's float64 residual and
+Both inverses are plans that group the work sharing its 1D factors: the
+diagonal stress entries by N_i, the shear entries by (N_i, N_j), and the
+displacement components by (N_c, h_c) and the (N_j, h_j) of the other axes
+in contraction order; a box with no equal axes has groups of one.  Each
+group computes its factors once and owns buffers, allocated with the plan,
+that hold its members side by side.  An apply copies the members in, makes
+one LAPACK or matrix product call per factor and group, and writes into
+``out``; an inverse object is therefore not reentrant.
+
+The Schur factors are computed in float64 and stored in float32, and the
+products run in single precision; the solver's float64 residual and
 restarts make up the difference.  Each input is scaled by the power of two
 of its largest entry, which is exact and keeps float32 from overflowing or
 underflowing for any finite input.  ``StressInverse`` stays in float64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,53 +102,56 @@ def _gram(polys) -> np.ndarray:
     return np.array([[_integral(p, q) for q in polys] for p in polys])
 
 
-def _node_gram(local: np.ndarray, n: int):
-    """The solve of a 2 x 2 node-by-node cell block assembled over n cells;
-    it overwrites a Fortran-ordered right-hand side."""
+_HAT_GRAM = _gram(_HATS)
+_CHAIN_GRAM = _gram(_QUADRATICS)
+# each volume average condensed onto the two faces of its cell
+_CONDENSE = _CHAIN_GRAM[:2, 2] / _CHAIN_GRAM[2, 2]
+_FACE_GRAM = _CHAIN_GRAM[:2, :2] - np.outer(_CHAIN_GRAM[:2, 2], _CONDENSE)
+
+
+def _node_factors(local: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dpttrf factors of a 2 x 2 node-by-node cell block assembled over n cells."""
     d = np.zeros(n + 1)
     d[:-1] += local[0, 0]
     d[1:] += local[1, 1]
     d, e, info = lapack.dpttrf(d, np.full(n, local[0, 1]))
     if info != 0:
         raise np.linalg.LinAlgError(f"dpttrf failed (info={info})")
-    return lambda b: lapack.dpttrs(d, e, b, overwrite_b=True)[0]
+    return d, e
 
 
-def _hat_solve(n: int):
-    """The solve of P, the Gram of the hats on the n + 1 planes of n cells."""
-    return _node_gram(_gram(_HATS), n)
+def _pttrs(factors, b: np.ndarray) -> None:
+    """Overwrite the Fortran-ordered float64 matrix b by the solve with ``factors``."""
+    if lapack.dpttrs(*factors, b, overwrite_b=True)[0] is not b:
+        raise ValueError("dpttrs needs a Fortran-ordered float64 right-hand side")
 
 
-def _chain_solve(n: int):
-    """The solve of G on n cells, faces and volume averages given apart.
-
-    Each volume average is condensed onto the two faces of its cell (face k
-    is face 0 of cell k and face 1 of cell k - 1); both inputs are overwritten.
-    """
-    g = _gram(_QUADRATICS)
-    w = g[:2, 2] / g[2, 2]
-    faces_solve = _node_gram(g[:2, :2] - np.outer(g[:2, 2], w), n)
-
-    def solve(faces, volumes):
-        faces[:-1] -= w[0] * volumes
-        faces[1:] -= w[1] * volumes
-        faces = faces_solve(faces)
-        volumes -= g[0, 2] * faces[:-1] + g[1, 2] * faces[1:]
-        volumes /= g[2, 2]
-        return faces, volumes
-
-    return solve
+def _chain_solve(factors, faces, volumes, t, u) -> None:
+    """Overwrite faces and volumes by the solve of G, given the factors of the
+    condensed face Gram; t and u are scratch of the volumes' shape.  Face k is
+    face 0 of cell k and face 1 of cell k - 1."""
+    g, w = _CHAIN_GRAM, _CONDENSE
+    faces[:-1] -= np.multiply(volumes, w[0], out=t)
+    faces[1:] -= np.multiply(volumes, w[1], out=t)
+    _pttrs(factors, faces)
+    np.multiply(faces[:-1], g[0, 2], out=t)
+    t += np.multiply(faces[1:], g[1, 2], out=u)
+    volumes -= t
+    volumes /= g[2, 2]
 
 
-def _solve_along(solve, axis: int, *xs: np.ndarray) -> list[np.ndarray]:
-    """Apply ``solve`` to the fibres along ``axis`` of the arrays ``xs``.
-
-    Each array reaches ``solve`` as a Fortran-ordered (length, fibres) matrix,
-    a copy unless ``axis`` is already first in a Fortran-ordered array.
-    """
-    moved = [np.asfortranarray(x.swapaxes(0, axis)) for x in xs]
-    out = solve(*(m.reshape(m.shape[0], -1, order="F") for m in moved))
-    return [y.reshape(m.shape, order="F").swapaxes(0, axis) for y, m in zip(out, moved)]
+def _buffer(length: int, lattices) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A Fortran-ordered (length, columns) buffer for the (axis, shape) lattices
+    side by side, one fibre along ``axis`` per column, and a view of each."""
+    widths = [math.prod(shape) // length for _, shape in lattices]
+    buffer = np.empty((length, sum(widths)), order="F")
+    views, start = [], 0
+    for (axis, shape), width in zip(lattices, widths):
+        block = buffer[:, start : start + width]
+        moved = (length,) + shape[:axis] + shape[axis + 1 :]
+        views.append(np.moveaxis(block.reshape(moved, order="F"), 0, axis))
+        start += width
+    return buffer, views
 
 
 class StressInverse:
@@ -147,32 +161,46 @@ class StressInverse:
         grid = dofs.grid
         subs = grid.subdivisions
         a_diag, a_shear = _compliance_scales(material, grid.dim)
-        self._chains = [_chain_solve(n) for n in subs]
-        self._hats = [_hat_solve(n) for n in subs]
-        # per tensor entry: its families as (unknowns, lattice shape), faces
-        # before volume averages, and the inverse of its compliance scale
-        self._entries: dict[tuple[int, int], tuple[list, float]] = {}
-        for entry, nodal, start in sorted(dofs.families, key=lambda family: -sum(family[1])):
-            a = a_diag if entry[0] == entry[1] else a_shear
-            families, _ = self._entries.setdefault(entry, ([], 1.0 / (grid.element_volume * a)))
+        # per group of shared factors, its families as (unknowns, lattice shape,
+        # inverse compliance scale, axes solved along, block in each sweep)
+        groups: dict[tuple[int, ...], list] = {}
+        for (i, j), nodal, start in dofs.families:
             shape = tuple(n + k for n, k in zip(subs, nodal))
-            families.append((slice(start, start + int(np.prod(shape))), shape))
+            axes = (i,) if i == j else (i, j)
+            scale = 1.0 / (grid.element_volume * (a_diag if i == j else a_shear))
+            family = (slice(start, start + math.prod(shape)), shape, scale, axes, [])
+            groups.setdefault(tuple(subs[k] for k in axes), []).append(family)
+        # per group: its sweeps as (factors, buffers), and its families
+        self._groups = []
+        for key, families in groups.items():
+            sweeps = []
+            for s, n in enumerate(key):
+                buffers = []
+                for length in (n + 1, n):  # faces or hats, then volume averages
+                    chosen = [f for f in families if f[1][f[3][s]] == length]
+                    if chosen:
+                        buffer, views = _buffer(length, [(f[3][s], f[1]) for f in chosen])
+                        buffers.append(buffer)
+                        for f, view in zip(chosen, views):
+                            f[4].append(view)
+                if len(key) == 1:  # the chain solve's scratch
+                    buffers += [np.empty_like(buffers[1]) for _ in range(2)]
+                gram = _FACE_GRAM if len(key) == 1 else _HAT_GRAM
+                sweeps.append((_node_factors(gram, n), buffers))
+            self._groups.append((sweeps, families))
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-
-        def lattice(x, rows, shape):  # a family's unknowns, axis 0 fastest
-            return x[rows].reshape(shape, order="F")
-
-        for (i, j), (families, scale) in self._entries.items():
-            parts = [scale * lattice(r, *family) for family in families]
-            if i == j:
-                parts = _solve_along(self._chains[i], i, *parts)
-            else:
-                for k in (i, j):
-                    parts = _solve_along(lambda b: [self._hats[k](b)], k, *parts)
-            for family, y in zip(families, parts):
-                lattice(out, *family)[...] = y
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(r) if out is None else out
+        for sweeps, families in self._groups:
+            for rows, shape, scale, _, blocks in families:
+                np.multiply(r[rows].reshape(shape, order="F"), scale, out=blocks[0])
+            for s, (factors, buffers) in enumerate(sweeps):
+                if s:
+                    for *_, blocks in families:
+                        np.copyto(blocks[s], blocks[s - 1])
+                (_chain_solve if len(buffers) > 1 else _pttrs)(factors, *buffers)
+            for rows, shape, _, _, blocks in families:
+                out[rows].reshape(shape, order="F")[...] = blocks[-1]
         return out
 
 
@@ -188,67 +216,78 @@ def component_factors(
     h = grid.spacing
     a_diag, a_shear = _compliance_scales(material, grid.dim)
 
-    def form(d, solve):  # d X^-1 d^T for the X that ``solve`` inverts
-        return _flush(d @ solve(d.T.toarray(order="F")))
+    def form(d, n):  # d P^-1 d^T for the Gram P of the hats on n cells
+        x = d.T.toarray(order="F")
+        _pttrs(_node_factors(_HAT_GRAM, n), x)
+        return _flush(d @ x)
 
     n = grid.subdivisions[c]
     faces = _element_by_node(_DQUAD_MOMENTS[:, :2], n)
     volumes = _element_by_node(_DQUAD_MOMENTS[:, 2:], n)
-    solved = _chain_solve(n)(faces.T.toarray(order="F"), volumes.T.toarray(order="F"))
+    solved = faces.T.toarray(order="F"), volumes.T.toarray(order="F")
+    scratch = (np.empty_like(solved[1]) for _ in range(2))
+    _chain_solve(_node_factors(_FACE_GRAM, n), *solved, *scratch)
     A = _flush((vol / (a_diag * h[c] ** 2)) * (faces @ solved[0] + volumes @ solved[1]))
-    C = (vol / a_shear) * form(_element_by_node(_HAT_MOMENTS, n), _hat_solve(n))
+    C = (vol / a_shear) * form(_element_by_node(_HAT_MOMENTS, n), n)
     L = {
-        j: form(_element_by_node(np.array([[-1.0, 1.0]]), n_j), _hat_solve(n_j)) / h[j] ** 2
+        j: form(_element_by_node(np.array([[-1.0, 1.0]]), n_j), n_j) / h[j] ** 2
         for j, n_j in enumerate(grid.subdivisions)
         if j != c
     }
     return A, C, L
 
 
-def _along(x: np.ndarray, axis: int, q: np.ndarray) -> np.ndarray:
-    """Multiply every fibre of ``x`` along ``axis`` by the matrix ``q``."""
-    shape = x.shape
-    pre = int(np.prod(shape[:axis]))
-    return np.matmul(q, x.reshape(pre, shape[axis], -1)).reshape(shape)
-
-
 class SchurInverse:
     """Applies the exact inverse of every S_c to a displacement vector."""
 
     def __init__(self, grid: TensorGrid, material: LameParams):
-        self.grid = grid
-        dim = grid.dim
-        self._components = []
+        dim, subs, h = grid.dim, grid.subdivisions, grid.spacing
+        # displacement index = 2 dim (flat element) + 2 c + m, axis 0 fastest
+        self._shape = subs[::-1] + (dim, 2)
+        # array axes of component c's data after contracting axis c: the
+        # other grid axes in reverse order, then the eigen index
+        others = {c: [j for j in reversed(range(dim)) if j != c] for c in range(dim)}
+        groups: dict[tuple, list[int]] = {}
         for c in range(dim):
+            groups.setdefault(tuple((subs[j], h[j]) for j in [c] + others[c]), []).append(c)
+        # per group: its members as (component, array axis order in x, block
+        # of x) and one apply's steps as (ufunc, operand, operand, out)
+        self._groups = []
+        for members in groups.values():
+            c, n = members[0], 2 * subs[members[0]]
             A, C, L = component_factors(grid, material, c)
             phi, V = eigh(C, A)
-            # array axes of component c's data after contracting axis c:
-            # the other grid axes in reverse order, then the eigen index
-            others = [j for j in reversed(range(dim)) if j != c]
-            lams, rotations = zip(*(eigh(L[j]) for j in others))
-            lam_sum = sum(np.ix_(*lams))
-            scale = 1.0 / (1.0 + lam_sum[..., None] * phi)
-            factors = V.reshape(grid.subdivisions[c], 2, -1), *rotations, scale
-            V, *rotations, scale = (f.astype(np.float32) for f in factors)
-            self._components.append((V, rotations, scale))
+            lams, Qs = zip(*(eigh(L[j]) for j in others[c]))
+            scale = 1.0 / (1.0 + sum(np.ix_(*lams))[..., None] * phi)
+            V, *Qs, scale = (f.astype(np.float32) for f in (V, *Qs, scale))
+            lengths = tuple(subs[j] for j in others[c])
+            x, y = (np.empty((len(members),) + lengths + (n,), np.float32) for _ in range(2))
+            steps = [(np.matmul, x.reshape(-1, n), V, y.reshape(-1, n))]
+            src, dst = y, x
+            # Q^T along each other axis, the scale, then Q along each again
+            for pos, q in [*enumerate(Q.T for Q in Qs), (None, scale), *enumerate(Qs)]:
+                if pos is None:
+                    steps.append((np.multiply, src, q, src))
+                    continue
+                fibres = (math.prod(src.shape[: pos + 1]), src.shape[pos + 1], -1)
+                steps.append((np.matmul, q, src.reshape(fibres), dst.reshape(fibres)))
+                src, dst = dst, src
+            steps.append((np.matmul, src.reshape(-1, n), V.T, dst.reshape(-1, n)))
+            blocks = x.reshape((len(members),) + lengths + (n // 2, 2))
+            orders = [[dim - 1 - j for j in others[c] + [c]] + [dim] for c in members]
+            self._groups.append((list(zip(members, orders, blocks)), steps))
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        dim = grid.dim
-        # displacement index = 2 dim (flat element) + 2 c + m, axis 0 fastest
-        shape = grid.subdivisions[::-1] + (dim, 2)
-        r = np.asarray(r).reshape(shape)
-        exponent = int(np.frexp(np.abs(r).max())[1])
-        r = np.ldexp(r, -exponent, out=np.empty(shape, np.float32))
-        out = np.empty(shape)
-        for c, (V, rotations, scale) in enumerate(self._components):
-            axis_c = dim - 1 - c
-            y = np.tensordot(r[..., c, :], V, axes=([axis_c, dim], [0, 1]))
-            for pos, Q in enumerate(rotations):
-                y = _along(y, pos, Q.T)
-            y *= scale
-            for pos, Q in enumerate(rotations):
-                y = _along(y, pos, Q)
-            y = np.tensordot(y, V, axes=([-1], [2]))
-            out[..., c, :] = np.moveaxis(y, -2, axis_c)
-        return np.ldexp(out, exponent, out=out).ravel()
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        r = np.asarray(r).reshape(self._shape)
+        result = np.empty(r.size) if out is None else out
+        lattice = result.reshape(self._shape)
+        exponent = int(np.frexp(max(r.max(), -r.min()))[1])
+        for blocks, steps in self._groups:
+            for c, order, block in blocks:
+                np.ldexp(r[..., c, :].transpose(order), -exponent, out=block)
+            for ufunc, a, b, dst in steps:
+                ufunc(a, b, out=dst)
+            for c, order, block in blocks:
+                lattice[..., c, :].transpose(order)[...] = block
+        np.ldexp(lattice, exponent, out=lattice)
+        return result

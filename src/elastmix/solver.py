@@ -11,17 +11,19 @@ a Kronecker product of 1D Grams, inverted by tridiagonal solves, and every
 component block of S is a short sum of Kronecker products of 1D matrices,
 inverted by fast diagonalization (see ``_schur``; single-precision
 contractions on an input scaled by a power of two), so the iteration count
-stays flat under mesh refinement.  The iteration is MINRES (Paige and
-Saunders, SIAM J. Numer. Anal. 1975) with scipy's recurrences, run in place
-from zero.  It stops on the contract's own residual: when its running
-estimate of the residual in the preconditioner's norm reaches the bound,
-the true residual is measured once, and a miss rescales the estimate's
-target by the measured gap.  No part of the rule depends on the units of
-the material.  Only a run that ends at its rounding floor or its cap is
-followed by a run for the correction of the residual measured in float64, a
-mixed-precision refinement (Carson and Higham, SIAM J. Sci. Comput. 2018);
-the runs end when the contract holds or the residual no longer falls.  The
-contract is only the relative residual
+stays flat under mesh refinement.  Both inverses are plans built once per
+solve; each apply writes into the iteration's work vector in place, from
+buffers of the plan, with no vector-sized temporaries.  The iteration is
+MINRES (Paige and Saunders, SIAM J. Numer. Anal. 1975) with scipy's
+recurrences, run in place from zero.  It stops on the contract's own
+residual: when its running estimate of the residual in the preconditioner's
+norm reaches the bound, the true residual is measured once, and a miss
+rescales the estimate's target by the measured gap.  No part of the rule
+depends on the units of the material.  Only a run that ends at its rounding
+floor or its cap is followed by a run for the correction of the residual
+measured in float64, a mixed-precision refinement (Carson and Higham, SIAM
+J. Sci. Comput. 2018); the runs end when the contract holds or the residual
+no longer falls.  The contract is only the relative residual
 
     || K x - [0, F] || / ||F|| <= tol,
 
@@ -175,8 +177,8 @@ def _saddle_operators(system):
         out[n_stress:] = B @ s
 
     def apply(r, out):
-        out[:n_stress] = stress_inverse(r[:n_stress])
-        out[n_stress:] = schur_inverse(r[n_stress:])
+        stress_inverse(r[:n_stress], out[:n_stress])
+        schur_inverse(r[n_stress:], out[n_stress:])
 
     return multiply, apply
 

@@ -32,6 +32,7 @@ cell sum, is only multiplied by.  No global matrix is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +94,15 @@ def _distance_sq(
     return total * grid.element_volume
 
 
+@lru_cache(maxsize=64)
+def _div_map(spacing: tuple[float, ...]) -> np.ndarray:
+    """The coefficients of div sigma_h in the displacement basis as a map of
+    one cell's stress coefficients, on a cell of edge lengths ``spacing``."""
+    div = scipy.linalg.solve(disp_mass(spacing), local_div_matrix(spacing), assume_a="pos").T
+    div.setflags(write=False)
+    return div
+
+
 def error_norms(
     grid: TensorGrid, exact: ExactSolution, sigma_h: StressField, u_h: DisplacementField
 ) -> ErrorRecord:
@@ -101,8 +111,7 @@ def error_norms(
     check_grid(grid, u_h.dofs)
     h = grid.spacing
     stress, disp, gram, _, mass = _unit_cell(grid.dim)  # the reference cell
-    # the coefficients of div sigma_h in the displacement basis, per cell
-    div = scipy.linalg.solve(disp_mass(h), local_div_matrix(h), assume_a="pos").T
+    div = _div_map(tuple(h.tolist()))
 
     def local_stress(cells):
         return sigma_h.coeffs[sigma_h.dofs.element_stress[cells]]

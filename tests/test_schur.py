@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from elastmix import _schur
 from elastmix._schur import SchurInverse, StressInverse, component_factors
 from elastmix.assembly import assemble
 from elastmix.grid import TensorGrid
 from elastmix.material import LameParams
 
-# anisotropic boxes with unequal subdivisions, most with an axis of one cell
+# anisotropic boxes with unequal subdivisions, most with an axis of one cell;
+# then boxes whose axes share their 1D factors, so the inverses group them:
+# the unit square and cube (one group each), equal N with unequal h (groups
+# of one), and a 4D box with two equal axes and two unequal ones
 CASES = [
     (2, [(0.0, 1.0), (-0.5, 2.0)], (4, 1), LameParams(0.7, 3.0)),
     (2, [(0.0, 1.0), (-0.5, 2.0)], (3, 5), LameParams(0.5, 1e4)),
@@ -17,7 +23,18 @@ CASES = [
         (2, 1, 3, 2),
         LameParams(0.5, 1.0),
     ),
+    (2, [(0.0, 1.0)] * 2, (4, 4), LameParams(0.5, 1.0)),
+    (3, [(0.0, 1.0)] * 3, (3, 3, 3), LameParams(0.6, 1e4)),
+    (2, [(0.0, 1.0), (0.0, 2.0)], (3, 3), LameParams(0.5, 1.0)),
+    (
+        4,
+        [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (-1.0, 0.0)],
+        (2, 2, 3, 1),
+        LameParams(0.45, 2.0),
+    ),
 ]
+# the number of groups of each case's Schur components
+SCHUR_GROUPS = [2, 2, 3, 4, 1, 1, 2, 3]
 
 
 def _entry_blocks(system):
@@ -111,3 +128,74 @@ def test_stress_inverse_undoes_entry_blocks(dim, box, subs, material):
     x = np.random.default_rng(dim).standard_normal(system.dofs.n_stress)
     y = StressInverse(system.dofs, material)(_entry_blocks(system) @ x)
     assert np.linalg.norm(y - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("case, groups", zip(CASES, SCHUR_GROUPS))
+def test_schur_factors_computed_once_per_group(monkeypatch, case, groups):
+    dim, box, subs, material = case
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return component_factors(*args)
+
+    monkeypatch.setattr(_schur, "component_factors", counted)
+    SchurInverse(TensorGrid(dim, box, subs), material)
+    assert len(calls) == groups
+
+
+def _inverses(dim, box, subs, material):
+    """Each inverse on the grid with a factory for fresh objects and an input."""
+    grid = TensorGrid(dim, box, subs)
+    dofs = assemble(grid, material).dofs
+    rng = np.random.default_rng(sum(subs))
+    return [
+        (lambda: StressInverse(dofs, material), rng.standard_normal(dofs.n_stress)),
+        (lambda: SchurInverse(grid, material), rng.standard_normal(dofs.n_disp)),
+    ]
+
+
+@pytest.mark.parametrize("dim, box, subs, material", CASES)
+def test_inverses_keep_their_input_and_write_out(dim, box, subs, material):
+    for make, r in _inverses(dim, box, subs, material):
+        inverse = make()
+        kept = r.copy()
+        fresh = inverse(r)
+        # an axis-0 lattice of r is a Fortran-ordered view a solve could overwrite
+        assert np.array_equal(r, kept)
+        out = np.full_like(r, np.nan)
+        assert inverse(r, out) is out
+        assert np.array_equal(out, fresh)
+        assert inverse(r) is not fresh
+        assert np.array_equal(r, kept)
+
+
+@pytest.mark.parametrize("dim, box, subs, material", CASES)
+def test_inverses_carry_no_state_between_calls(dim, box, subs, material):
+    for make, r in _inverses(dim, box, subs, material):
+        inverse = make()
+        s = np.random.default_rng(dim).standard_normal(r.size)
+        first, second = inverse(r), inverse(s)
+        assert np.array_equal(first, make()(r))
+        assert np.array_equal(second, make()(s))
+
+
+@pytest.mark.parametrize(
+    "dim, subs", [(2, (96, 64)), (3, (12, 12, 12)), (3, (16, 12, 10)), (4, (6, 6, 5, 4))]
+)
+def test_inverse_apply_allocates_less_than_its_input(dim, subs):
+    # the buffers are allocated with the plan; an apply with out allocates
+    # only views and the ufuncs' iteration buffers (at most 8192 entries
+    # each), so the grids are large enough for those to stay below the bound
+    for make, r in _inverses(dim, [(0.0, 1.0)] * dim, subs, LameParams(0.5, 1.0)):
+        inverse = make()
+        out = np.empty_like(r)
+        inverse(r, out)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            inverse(r, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.5 * r.nbytes

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from elastmix import verify
 from elastmix.assembly import build_dof_map
+from elastmix.element import local_div_matrix as div
 from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
@@ -115,6 +117,24 @@ def test_error_norms_zero_fields_give_exact_norms():
     assert rec.u_l2 == pytest.approx(np.sqrt(0.5), rel=1e-9)
     assert rec.sigma_l2 == pytest.approx(np.pi * np.sqrt(3.0) / 2.0, rel=1e-9)
     assert rec.sigma_div == pytest.approx(np.pi**2 * np.sqrt(5.0) / 2.0, rel=1e-9)
+
+
+def test_error_norms_build_the_div_map_once_per_spacing(monkeypatch):
+    # the map depends only on the cell spacing: equal grids built apart share
+    # it, a grid of another spacing gets its own
+    calls = []
+    monkeypatch.setattr(verify, "local_div_matrix", lambda h: calls.append(h) or div(h))
+    verify._div_map.cache_clear()
+    exact = sine_solution(2, MAT)
+    records = []
+    for grid in (unit_grid(2, 5), unit_grid(2, 5), unit_grid(2, 6), unit_grid(2, 5)):
+        dofs = build_dof_map(grid)
+        pi_sigma = interp_stress(grid, dofs, exact.sigma)
+        u_h = DisplacementField(dofs, np.zeros(dofs.n_disp))
+        records.append(error_norms(grid, exact, pi_sigma, u_h))
+    verify._div_map.cache_clear()
+    assert len(calls) == 2
+    assert records[0] == records[1] == records[3]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
