@@ -264,7 +264,8 @@ class SchurInverse:
             x, y = (np.empty((len(members),) + lengths + (n,), np.float32) for _ in range(2))
             steps = [(np.matmul, x.reshape(-1, n), V, y.reshape(-1, n))]
             src, dst = y, x
-            # Q^T along each other axis, the scale, then Q along each again
+            # Q^T along each other axis, the scale, then Q along each again; the
+            # products alternate between x and y, and their even count ends in x
             for pos, q in [*enumerate(Q.T for Q in Qs), (None, scale), *enumerate(Qs)]:
                 if pos is None:
                     steps.append((np.multiply, src, q, src))
