@@ -37,10 +37,12 @@ Both inverses are plans that group the work sharing its 1D factors: the
 diagonal stress entries by N_i, the shear entries by (N_i, N_j), and the
 displacement components by (N_c, h_c) and the (N_j, h_j) of the other axes
 in contraction order; a box with no equal axes has groups of one.  Each
-group computes its factors once and owns buffers, allocated with the plan,
-that hold its members side by side.  An apply copies the members in, makes
-one LAPACK or matrix product call per factor and group, and writes into
-``out``; an inverse object is therefore not reentrant.
+group computes its factors once and has buffers that hold its members side
+by side.  The groups run one after another, so the buffers of all groups
+are views of one scratch pool per plan, allocated with it and sized for the
+largest group.  An apply copies the members in, makes one LAPACK or matrix
+product call per factor and group, and writes into ``out``; an inverse
+object is therefore not reentrant.
 
 The Schur factors are computed in float64 and stored in float32, and the
 products run in single precision; the solver's float64 residual and
@@ -128,30 +130,37 @@ def _pttrs(factors, b: np.ndarray) -> None:
 
 def _chain_solve(factors, faces, volumes, t, u) -> None:
     """Overwrite faces and volumes by the solve of G, given the factors of the
-    condensed face Gram; t and u are scratch of the volumes' shape.  Face k is
-    face 0 of cell k and face 1 of cell k - 1."""
+    condensed face Gram.  All four arrays are Fortran-ordered (n + 1, columns);
+    the last row of volumes is a pad, zeroed here, and t and u are scratch.
+    Face k is face 0 of cell k and face 1 of cell k - 1.
+
+    With the pad row zero, each face update is one pass over the flat
+    buffers: a column's last face takes w0 times the pad, and the next
+    column's first face w1 times it, so the column seams stay exact."""
     g, w = _CHAIN_GRAM, _CONDENSE
-    faces[:-1] -= np.multiply(volumes, w[0], out=t)
-    faces[1:] -= np.multiply(volumes, w[1], out=t)
+    volumes[-1] = 0.0
+    f, v, t, u = (a.ravel(order="F") for a in (faces, volumes, t, u))
+    f -= np.multiply(v, w[0], out=t)
+    f[1:] -= np.multiply(v[:-1], w[1], out=t[:-1])
     _pttrs(factors, faces)
-    np.multiply(faces[:-1], g[0, 2], out=t)
-    t += np.multiply(faces[1:], g[1, 2], out=u)
-    volumes -= t
-    volumes /= g[2, 2]
+    np.multiply(f, g[0, 2], out=t)
+    t[:-1] += np.multiply(f[1:], g[1, 2], out=u[:-1])
+    v -= t
+    v /= g[2, 2]
 
 
-def _buffer(length: int, lattices) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A Fortran-ordered (length, columns) buffer for the (axis, shape) lattices
-    side by side, one fibre along ``axis`` per column, and a view of each."""
-    widths = [math.prod(shape) // length for _, shape in lattices]
-    buffer = np.empty((length, sum(widths)), order="F")
+def _views(buffer: np.ndarray, lattices) -> list[np.ndarray]:
+    """A view of each (axis, shape) lattice in the Fortran-ordered buffer, side
+    by side from its first row, one fibre along ``axis`` per column."""
     views, start = [], 0
-    for (axis, shape), width in zip(lattices, widths):
-        block = buffer[:, start : start + width]
+    for axis, shape in lattices:
+        length = shape[axis]
+        width = math.prod(shape) // length
+        block = buffer[:length, start : start + width]
         moved = (length,) + shape[:axis] + shape[axis + 1 :]
         views.append(np.moveaxis(block.reshape(moved, order="F"), 0, axis))
         start += width
-    return buffer, views
+    return views
 
 
 class StressInverse:
@@ -170,24 +179,40 @@ class StressInverse:
             scale = 1.0 / (grid.element_volume * (a_diag if i == j else a_shear))
             family = (slice(start, start + math.prod(shape)), shape, scale, axes, [])
             groups.setdefault(tuple(subs[k] for k in axes), []).append(family)
-        # per group: its sweeps as (factors, buffers), and its families
-        self._groups = []
+        # per group and sweep along n cells: the family lists of its buffers
+        # (faces or hats, then volume averages) and every buffer's width; all
+        # have n + 1 rows, the volume averages' last one a pad, and the chain
+        # solve adds two scratch buffers of their width
+        plans = []
         for key, families in groups.items():
             sweeps = []
             for s, n in enumerate(key):
+                parts = [[f for f in families if f[1][f[3][s]] == m] for m in (n + 1, n)]
+                parts = [part for part in parts if part]
+                widths = [sum(math.prod(f[1]) // f[1][f[3][s]] for f in part) for part in parts]
+                if len(key) == 1:
+                    widths += widths[1:] * 2
+                sweeps.append((n, parts, widths))
+            plans.append((families, sweeps))
+        # the groups run one after another, so their buffers share one pool
+        # sized for the largest group
+        pool = np.empty(max(sum((n + 1) * sum(w) for n, _, w in sw) for _, sw in plans))
+        # per group: its sweeps as (factors, buffers), and its families
+        self._groups = []
+        for families, sweeps in plans:
+            built, start = [], 0
+            for s, (n, parts, widths) in enumerate(sweeps):
                 buffers = []
-                for length in (n + 1, n):  # faces or hats, then volume averages
-                    chosen = [f for f in families if f[1][f[3][s]] == length]
-                    if chosen:
-                        buffer, views = _buffer(length, [(f[3][s], f[1]) for f in chosen])
-                        buffers.append(buffer)
-                        for f, view in zip(chosen, views):
-                            f[4].append(view)
-                if len(key) == 1:  # the chain solve's scratch
-                    buffers += [np.empty_like(buffers[1]) for _ in range(2)]
-                gram = _FACE_GRAM if len(key) == 1 else _HAT_GRAM
-                sweeps.append((_node_factors(gram, n), buffers))
-            self._groups.append((sweeps, families))
+                for width in widths:
+                    size = (n + 1) * width
+                    buffers.append(pool[start : start + size].reshape((n + 1, width), order="F"))
+                    start += size
+                for part, buffer in zip(parts, buffers):
+                    for f, view in zip(part, _views(buffer, [(f[3][s], f[1]) for f in part])):
+                        f[4].append(view)
+                gram = _FACE_GRAM if len(sweeps) == 1 else _HAT_GRAM
+                built.append((_node_factors(gram, n), buffers))
+            self._groups.append((built, families))
 
     def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(r) if out is None else out
@@ -224,10 +249,12 @@ def component_factors(
     n = grid.subdivisions[c]
     faces = _element_by_node(_DQUAD_MOMENTS[:, :2], n)
     volumes = _element_by_node(_DQUAD_MOMENTS[:, 2:], n)
-    solved = faces.T.toarray(order="F"), volumes.T.toarray(order="F")
-    scratch = (np.empty_like(solved[1]) for _ in range(2))
-    _chain_solve(_node_factors(_FACE_GRAM, n), *solved, *scratch)
-    A = _flush((vol / (a_diag * h[c] ** 2)) * (faces @ solved[0] + volumes @ solved[1]))
+    # faces, volume averages with their pad row, and the two scratch arrays
+    solved = [np.zeros((n + 1, 2 * n), order="F") for _ in range(4)]
+    solved[0][...] = faces.T.toarray()
+    solved[1][:-1] = volumes.T.toarray()
+    _chain_solve(_node_factors(_FACE_GRAM, n), *solved)
+    A = _flush((vol / (a_diag * h[c] ** 2)) * (faces @ solved[0] + volumes @ solved[1][:-1]))
     C = (vol / a_shear) * form(_element_by_node(_HAT_MOMENTS, n), n)
     L = {
         j: form(_element_by_node(np.array([[-1.0, 1.0]]), n_j), n_j) / h[j] ** 2
@@ -250,6 +277,11 @@ class SchurInverse:
         groups: dict[tuple, list[int]] = {}
         for c in range(dim):
             groups.setdefault(tuple((subs[j], h[j]) for j in [c] + others[c]), []).append(c)
+        # the groups run one after another, so their buffers x and y share one
+        # pool sized for the largest group: a member holds 2 N_c entries per
+        # element fibre along axis c, 2 n_elements in all
+        size = 2 * grid.n_elements * max(len(members) for members in groups.values())
+        pool = np.empty(2 * size, np.float32)
         # per group: its members as (component, array axis order in x, block
         # of x) and one apply's steps as (ufunc, operand, operand, out)
         self._groups = []
@@ -261,7 +293,8 @@ class SchurInverse:
             scale = 1.0 / (1.0 + sum(np.ix_(*lams))[..., None] * phi)
             V, *Qs, scale = (f.astype(np.float32) for f in (V, *Qs, scale))
             lengths = tuple(subs[j] for j in others[c])
-            x, y = (np.empty((len(members),) + lengths + (n,), np.float32) for _ in range(2))
+            shape = (len(members),) + lengths + (n,)
+            x, y = (pool[k * size : k * size + math.prod(shape)].reshape(shape) for k in (0, 1))
             steps = [(np.matmul, x.reshape(-1, n), V, y.reshape(-1, n))]
             src, dst = y, x
             # Q^T along each other axis, the scale, then Q along each again; the

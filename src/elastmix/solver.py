@@ -13,9 +13,12 @@ inverted by fast diagonalization (see ``_schur``; single-precision
 contractions on an input scaled by a power of two), so the iteration count
 stays flat under mesh refinement.  Both inverses are plans built once per
 solve; each apply writes into the iteration's work vector in place, from
-buffers of the plan, with no vector-sized temporaries.  The iteration is
-MINRES (Paige and Saunders, SIAM J. Numer. Anal. 1975) with scipy's
-recurrences, run in place from zero.  It stops on the contract's own
+one scratch pool per plan, with no vector-sized temporaries.  The products
+with M, B and B^T are summed into their output in place too, so a solve
+holds one right-hand-side vector b, MINRES's eight work vectors and the
+plans' scratch, and one more vector only in a correction run.  The
+iteration is MINRES (Paige and Saunders, SIAM J. Numer. Anal. 1975) with
+scipy's recurrences, run in place from zero.  It stops on the contract's own
 residual: when its running estimate of the residual in the preconditioner's
 norm reaches the bound, the true residual is measured once, and a miss
 rescales the estimate's target by the measured gap.  No part of the rule
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench's tracer swaps it
+from scipy.sparse import _sparsetools
 
 from ._schur import SchurInverse, StressInverse
 from .assembly import SaddleSystem
@@ -112,7 +116,6 @@ def solve(
         raise ConvergenceError("system matrix has non-finite entries", np.nan)
 
     start = time.perf_counter()
-    rhs = np.concatenate([np.zeros(dofs.n_stress), load])
     if rhs_norm == 0.0:
         report = SolveReport("trivial", 0.0, 0, time.perf_counter() - start)
         return (
@@ -120,6 +123,11 @@ def solve(
             DisplacementField(dofs, np.zeros(dofs.n_disp)),
             report,
         )
+    n_stress = dofs.n_stress
+    # the one right-hand-side vector: [0, F] for the first run, then the
+    # residual measured after each run, written into the same storage
+    b = np.zeros(system.n_total)
+    b[n_stress:] = load
 
     multiply, apply = _saddle_operators(system)
     setup_time = time.perf_counter() - start
@@ -134,16 +142,20 @@ def solve(
     # A run that spent its whole cap found no way down: on an inconsistent
     # system every further run ends at the cap too, lowering the residual in
     # its fifth digit (2D N=16 with one zero row of B: 3 runs of 1000)
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+    atol, x = tol * rhs_norm, None
     residual = 1.0
     for restarts in range(8):
         before = iterations[0]
-        x += _minres(multiply, apply, r, tol * rhs_norm, _MAX_RUN_ITERATIONS, count)
+        if x is None:  # the first run's iterate becomes the solution
+            x = _minres(multiply, apply, b, atol, _MAX_RUN_ITERATIONS, count)
+        else:  # only a correction run holds the running sum as one more vector
+            x += _minres(multiply, apply, b, atol, _MAX_RUN_ITERATIONS, count)
         capped = iterations[0] - before == _MAX_RUN_ITERATIONS
-        multiply(x, r)
-        np.subtract(rhs, r, out=r)
-        previous, residual = residual, float(np.linalg.norm(r)) / rhs_norm
+        # b = [0, F] - K x
+        multiply(x, b)
+        np.negative(b[:n_stress], out=b[:n_stress])
+        np.subtract(load, b[n_stress:], out=b[n_stress:])
+        previous, residual = residual, float(np.linalg.norm(b)) / rhs_norm
         # a NaN residual stops too
         if residual <= tol or capped or not residual < previous:
             break
@@ -156,10 +168,27 @@ def solve(
         "minres", residual, iterations[0], time.perf_counter() - start, setup_time, restarts
     )
     return (
-        StressField(dofs, x[: dofs.n_stress]),
-        DisplacementField(dofs, x[dofs.n_stress :]),
+        StressField(dofs, x[:n_stress]),
+        DisplacementField(dofs, x[n_stress:]),
         report,
     )
+
+
+def _add_product(A, x: np.ndarray, out: np.ndarray) -> None:
+    """Add A x to ``out`` in place, for a CSR or CSC matrix A.
+
+    The kernels are scipy's private ``scipy.sparse._sparsetools.csr_matvec``
+    and ``csc_matvec`` (y += A x), the ones behind ``A @ x``, which allocates
+    its result.  Being private, they are pinned by a test against ``A @ x``.
+    They check no lengths, and write only into a contiguous float64 ``out``,
+    so both are checked here.
+    """
+    if x.shape != (A.shape[1],) or out.shape != (A.shape[0],):
+        raise ValueError(f"shapes {x.shape} -> {out.shape} do not fit {A.shape}")
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("the product needs a contiguous float64 output")
+    kernel = _sparsetools.csr_matvec if A.format == "csr" else _sparsetools.csc_matvec
+    kernel(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
 
 
 def _saddle_operators(system):
@@ -169,12 +198,14 @@ def _saddle_operators(system):
     stress_inverse = StressInverse(system.dofs, system.material)
     schur_inverse = SchurInverse(system.dofs.grid, system.material)
 
-    # [[M, B^T], [B, 0]] applied block by block, so no copy of the whole
-    # matrix is built next to M and B
+    # [[M, B^T], [B, 0]] applied block by block and summed into out, so no
+    # copy of the whole matrix and no vector-sized temporary is built
     def multiply(x, out):
         s, u = x[:n_stress], x[n_stress:]
-        np.add(M @ s, BT @ u, out=out[:n_stress])
-        out[n_stress:] = B @ s
+        out.fill(0.0)
+        _add_product(M, s, out[:n_stress])
+        _add_product(BT, u, out[:n_stress])
+        _add_product(B, s, out[n_stress:])
 
     def apply(r, out):
         stress_inverse(r[:n_stress], out[:n_stress])

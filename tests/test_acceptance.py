@@ -14,12 +14,12 @@ from elastmix.element import (
     eval_disp_basis,
     eval_stress_basis_div,
 )
-from elastmix.grid import unit_grid
+from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import interp_stress
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
 from elastmix.solver import solve
-from elastmix.study import StudyConfig, run_study
+from elastmix.study import StudyConfig, run_level, run_study
 from elastmix.verify import fit_rate, infsup_probe, kernel_ellipticity_probe
 from poly_utils import (
     PolyTensorField, full_matrix, local_dofs, local_field, random_box, random_spacing,
@@ -215,6 +215,44 @@ def test_criterion_7_superconvergence_3d(study_3d):
         "criterion 7 (3D superclose Hdiv rate)",
         ok,
         f"rate {rate:.3f} (needs >= 1.30), study {elapsed:.1f}s",
+    )
+
+
+@pytest.mark.parametrize(
+    "dim, subdivisions",
+    [(2, [(4 * n, n) for n in (4, 8, 16)]), (3, [(3 * m, 2 * m, m) for m in (2, 4, 8)])],
+    ids=["2d_4n_by_n", "3d_three_counts"],
+)
+def test_criteria_5_to_7_on_rectangular_grids(dim, subdivisions):
+    # unequal axis counts on the unit box: every preconditioner group has one
+    # member, and the largest stress group, which sizes the plan's pool, is
+    # not the first one built
+    start = time.perf_counter()
+    levels = [
+        run_level(TensorGrid(dim, [(0.0, 1.0)] * dim, subs), MAT, "sine")
+        for subs in subdivisions
+    ]
+    elapsed = time.perf_counter() - start
+    hs = [lv.record.h for lv in levels]
+    rates = {
+        name: fit_rate(hs, [getattr(lv.record, name) for lv in levels])
+        for name in ("sigma_l2", "sigma_div", "sigma_hdiv", "u_l2",
+                     "super_sigma_hdiv", "super_u_l2")
+    }
+    worst = max(lv.report.residual for lv in levels)
+    energy_worst = max(lv.energy_residual for lv in levels)
+    ok = (
+        all(rate >= (1.8 if name.startswith("super") else 0.9) for name, rate in rates.items())
+        and worst <= 1e-11
+        and energy_worst <= 1e-9
+    )
+    _report(
+        f"criteria 5-7 on {dim}D grids {subdivisions}",
+        ok,
+        ", ".join(f"{name} rate {rate:.3f}" for name, rate in rates.items())
+        + " (need >= 0.9 for errors, >= 1.8 superclose), "
+        f"worst solve residual {worst:.2e} (tol 1e-11), "
+        f"worst energy residual {energy_worst:.2e} (tol 1e-9), {elapsed:.1f}s",
     )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from elastmix.solver import (
     ConvergenceError,
     SolveReport,
     SolverError,
+    _add_product,
     _minres,
     _saddle_operators,
     solve,
@@ -252,6 +254,55 @@ def test_in_place_minres_matches_scipy(dim, n):
         )
         assert len(ours) == len(theirs) == maxiter
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("dim, n", [(2, 6), (3, 3)])
+def test_saddle_product_sums_blocks_in_place(dim, n, index_dtype):
+    # multiply writes [[M, B^T], [B, 0]] x into out through scipy's private
+    # csr_matvec and csc_matvec; this pins them against the public products,
+    # on both index widths that assembly writes
+    _, dofs, system, _ = _assembled(n=n, dim=dim)
+
+    def reindexed(A):
+        A = A.copy()
+        A.indices, A.indptr = A.indices.astype(index_dtype), A.indptr.astype(index_dtype)
+        return A
+
+    system = dataclasses.replace(system, M=reindexed(system.M), B=reindexed(system.B))
+    assert system.M.indices.dtype == system.B.indptr.dtype == index_dtype
+    multiply, _ = _saddle_operators(system)
+    x = np.random.default_rng(dim).standard_normal(system.n_total)
+    kept = x.copy()
+    out = np.full_like(x, np.nan)
+    multiply(x, out)
+    assert np.array_equal(x, kept)
+    s, u = x[: dofs.n_stress], x[dofs.n_stress :]
+    M, B = system.M, system.B
+    for got, expected in ((out[: dofs.n_stress], M @ s + B.T @ u), (out[dofs.n_stress :], B @ s)):
+        assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
+    # the kernels check no lengths, so the helper does
+    with pytest.raises(ValueError):
+        _add_product(M, s[:-1], out[: dofs.n_stress])
+    with pytest.raises(ValueError):
+        _add_product(M, s, np.empty(2 * dofs.n_stress)[::2])
+
+
+@pytest.mark.parametrize("dim, n", [(2, 150), (3, 12)])
+def test_solve_working_set_is_one_rhs_eight_vectors_and_plans(dim, n):
+    # b, MINRES's eight vectors and the plans' pooled scratch: the products
+    # write into their output, so an iteration allocates no vector-sized
+    # temporary (14.1 vectors with three of solve's own and allocating products)
+    _, _, system, load = _assembled(n=n, dim=dim)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        _, _, report = solve(system, load)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.restarts == 0
+    assert peak - before <= 11.0 * 8 * system.n_total
 
 
 @pytest.mark.parametrize(
