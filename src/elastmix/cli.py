@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import Sequence
 
 _THREAD_ENV_VARS = (
@@ -34,6 +35,11 @@ def _apply_thread_cap() -> None:
         raise ValueError(f"ELASTMIX_THREADS must be a positive integer, got {threads!r}")
     for var in _THREAD_ENV_VARS:
         os.environ[var] = threads
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one line, like the other messages of the CLI."""
+    print(f"elastmix: warning: {message}", file=file or sys.stderr)
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -146,7 +152,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        result = run_study(config)
+        with warnings.catch_warnings():  # restores the hook on the way out
+            warnings.showwarning = _show_warning
+            result = run_study(config)
     except SolverError as exc:
         print(f"elastmix: numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,8 @@ The divergence of every shape function lands in the displacement space:
 d(q)/dx_i is linear in x_i, and for a corner function f(xi_i, xi_j) the
 component i of the divergence is (df/dxi_j)/h_j which is linear in xi_i
 (and vice versa).  This inclusion is what makes the discrete divergence-free
-space pointwise divergence free.
+space pointwise divergence free, and ``div_map`` gives every divergence as
+displacement coefficients.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .material import LameParams
 
@@ -142,16 +144,6 @@ def _evaluate(terms, xi, shape: tuple[int, ...]) -> np.ndarray:
 def eval_stress_basis(dim: int, xi: np.ndarray) -> np.ndarray:
     """Shape-function tensors at reference points, shape (nfun, npts, dim, dim)."""
     return _evaluate(_unit_cell(dim)[0], xi, (dim, dim))
-
-
-def eval_stress_basis_div(dim: int, xi: np.ndarray, spacing: Sequence[float]) -> np.ndarray:
-    """Physical divergence of each shape function, shape (nfun, npts, dim).
-
-    ``spacing`` holds the element edge lengths; derivatives in scaled
-    coordinates pick up a 1/h factor per axis.
-    """
-    _, _, div = _stress_terms(np.asarray(spacing, dtype=float))
-    return _evaluate(div, xi, (dim,))
 
 
 def eval_disp_basis(dim: int, xi: np.ndarray) -> np.ndarray:
@@ -265,14 +257,16 @@ def stress_l2_gram(spacing: Sequence[float]) -> np.ndarray:
     return float(np.prod(h)) * _unit_cell(h.size)[2]
 
 
-def stress_divdiv_gram(spacing: Sequence[float]) -> np.ndarray:
-    """(div phi_a, div phi_b) Gram of the stress basis; exact."""
-    h = _positive(spacing)
-    _, _, div = _stress_terms(h)
-    return float(np.prod(h)) * _inner(div, div)
-
-
 def disp_mass(spacing: Sequence[float]) -> np.ndarray:
     """(psi_a, psi_b) Gram of the displacement basis; exact."""
     h = _positive(spacing)
     return float(np.prod(h)) * _unit_cell(h.size)[4]
+
+
+def div_map(spacing: Sequence[float]) -> np.ndarray:
+    """The displacement coefficients of div phi_a, shape (2*dim, nfun).
+
+    The divergence lies in the displacement space, so it is its own L2
+    projection: disp_mass^-1 times the divergence matrix.
+    """
+    return scipy.linalg.solve(disp_mass(spacing), local_div_matrix(spacing), assume_a="pos")

@@ -33,7 +33,6 @@ from .element import (
     disp_mass,
     eval_disp_basis,
     eval_stress_basis,
-    eval_stress_basis_div,
 )
 from .grid import TensorGrid
 from .quadrature import _cell_moments
@@ -68,13 +67,6 @@ class StressField:
         basis = eval_stress_basis(self.dofs.grid.dim, xi)
         local = self.coeffs[self.dofs.element_stress[elements]]
         return _contract(local, basis)
-
-    def div_elements(self, xi: np.ndarray, elements: slice = slice(None)) -> np.ndarray:
-        """Divergence at reference points on the elements, (ne, m, dim)."""
-        grid = self.dofs.grid
-        div = eval_stress_basis_div(grid.dim, xi, grid.spacing)
-        local = self.coeffs[self.dofs.element_stress[elements]]
-        return _contract(local, div)
 
 
 @dataclass(frozen=True)

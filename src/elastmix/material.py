@@ -29,26 +29,9 @@ class LameParams:
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"first Lame constant must be nonnegative and finite, got {self.lam}")
 
-    @classmethod
-    def from_young_poisson(cls, young: float, poisson: float) -> "LameParams":
-        """Convert (E, nu) to Lame parameters; requires 0 <= nu < 1/2."""
-        if not 0 <= poisson < 0.5:
-            raise ValueError(f"Poisson ratio must lie in [0, 1/2), got {poisson}")
-        mu = young / (2.0 * (1.0 + poisson))
-        lam = young * poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
-        return cls(mu, lam)
-
-    @property
-    def poisson_ratio(self) -> float:
-        return self.lam / (2.0 * (self.lam + self.mu))
-
     def trace_factor(self, n: int) -> float:
         """The modulus 2 mu + n lam appearing in the trace coupling."""
         return 2.0 * self.mu + n * self.lam
-
-    def compliance_floor(self, n: int) -> float:
-        """Smallest eigenvalue of A on symmetric tensors: 1 / (2 mu + n lam)."""
-        return 1.0 / self.trace_factor(n)
 
 
 def _check_symmetric(t: np.ndarray, n: int, what: str) -> np.ndarray:

@@ -100,7 +100,7 @@ def solve(
     entry of M or B makes every residual NaN, so it raises ConvergenceError
     with residual NaN before iterating.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError(f"tolerance must be positive, got {tol}")
     if method not in _METHODS:
         raise ValueError(f"unknown solve method {method!r}; available: {_METHODS}")

@@ -13,15 +13,18 @@ The split never subtracts two global sums: the first part is the local
 projection error, the second a quadratic form of a coefficient difference.
 The divergence of the exact stress is taken from the load evaluator, which
 is exact for manufactured solutions and avoids differentiating the stress;
-div sigma_h lies in the displacement space, with coefficients
-disp_mass^-1 B_e c_e, so its split uses the displacement mass.
+div sigma_h lies in the displacement space, with coefficients D c_e for
+D = ``element.div_map``, so its split uses the displacement mass.
 Discrete-versus-discrete (superclose) norms are quadratic forms of
 coefficient differences in the local Gram matrices, hence carry no
-quadrature error at all.
+quadrature error at all; the superclose div norm is the displacement L2
+norm of div(sigma_h - Pi sigma), the form of D (c_e - pi_e) in the
+displacement mass.
 
 The stability probes are sparse shift-invert eigensolves: the inf-sup
 constant is the square root of the smallest eigenvalue of B S^-1 B^T against
-the displacement mass matrix, with S the H(div) Gram of the stress space,
+the displacement mass matrix, with S the H(div) Gram of the stress space
+(locally the L2 Gram plus D^T disp_mass D),
 and the kernel ellipticity ratio is the smallest Rayleigh quotient of the
 compliance form over the kernel of B.  Each probe sums the local saddle
 block over the cells, factors that one matrix, and lets eigsh in
@@ -32,7 +35,6 @@ cell sum, is only multiplied by.  No global matrix is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,9 +46,9 @@ from .assembly import build_dof_map, check_grid
 from .element import (
     _unit_cell,
     disp_mass,
+    div_map,
     local_compliance_matrix,
     local_div_matrix,
-    stress_divdiv_gram,
     stress_l2_gram,
 )
 from .grid import TensorGrid
@@ -94,24 +96,14 @@ def _distance_sq(
     return total * grid.element_volume
 
 
-@lru_cache(maxsize=64)
-def _div_map(spacing: tuple[float, ...]) -> np.ndarray:
-    """The coefficients of div sigma_h in the displacement basis as a map of
-    one cell's stress coefficients, on a cell of edge lengths ``spacing``."""
-    div = scipy.linalg.solve(disp_mass(spacing), local_div_matrix(spacing), assume_a="pos").T
-    div.setflags(write=False)
-    return div
-
-
 def error_norms(
     grid: TensorGrid, exact: ExactSolution, sigma_h: StressField, u_h: DisplacementField
 ) -> ErrorRecord:
     """L2 and H(div) errors of the stress and L2 error of the displacement."""
     check_grid(grid, sigma_h.dofs)
     check_grid(grid, u_h.dofs)
-    h = grid.spacing
     stress, disp, gram, _, mass = _unit_cell(grid.dim)  # the reference cell
-    div = _div_map(tuple(h.tolist()))
+    div = div_map(grid.spacing).T
 
     def local_stress(cells):
         return sigma_h.coeffs[sigma_h.dofs.element_stress[cells]]
@@ -151,12 +143,11 @@ def superclose_norms(
     grid = dofs.grid
     h = grid.spacing
 
+    mass = disp_mass(h)
     d_sigma = (sigma_h.coeffs - pi_sigma.coeffs)[dofs.element_stress]
     l2_sq = _cell_form(d_sigma, stress_l2_gram(h))
-    # zero in exact arithmetic (div sigma_h and div Pi sigma are both the
-    # projected load), so it can round below zero
-    div_sq = max(_cell_form(d_sigma, stress_divdiv_gram(h)), 0.0)
-    u_sq = _cell_form((u_h.coeffs - ph_u.coeffs)[dofs.element_disp], disp_mass(h))
+    div_sq = _cell_form(d_sigma @ div_map(h).T, mass)
+    u_sq = _cell_form((u_h.coeffs - ph_u.coeffs)[dofs.element_disp], mass)
 
     return ErrorRecord(
         h=grid.max_spacing,
@@ -215,12 +206,13 @@ def _smallest_saddle_eigenvalue(
     if dofs.n_total > max_dofs:
         raise ValueError(f"probe has {dofs.n_total} unknowns, over the budget of {max_dofs}")
     h, stress, disp = grid.spacing, dofs.element_stress, dofs.element_disp
-    hdiv = stress_l2_gram(h) + stress_divdiv_gram(h)
+    mass, div = disp_mass(h), div_map(h)
+    hdiv = stress_l2_gram(h) + div.T @ mass @ div
     if on_stress:
         a, d, cells, sign = local_compliance_matrix(h, material), hdiv, stress, 1.0
         block = slice(0, dofs.n_stress)
     else:
-        a, d, cells, sign = hdiv, disp_mass(h), disp, -1.0
+        a, d, cells, sign = hdiv, mass, disp, -1.0
         block = slice(dofs.n_stress, dofs.n_total)
     b = local_div_matrix(h)
     local = np.block([[a, b.T], [b, np.zeros((b.shape[0],) * 2)]])

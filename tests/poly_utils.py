@@ -2,7 +2,8 @@
 the meshes that exercise partial element blocks, one-cell grids, the full
 saddle matrix, the triplet scatter of local matrices (the oracle of the
 assembly), the global Grams and displacement mass, dense stability probes,
-pointwise error norms and the local matrices by Gauss quadrature."""
+pointwise error norms, the divergence of discrete stresses and the local
+matrices by Gauss quadrature."""
 
 import numpy as np
 import scipy.linalg
@@ -11,14 +12,14 @@ import scipy.sparse as sp
 from elastmix.assembly import assemble, build_dof_map
 from elastmix.element import (
     disp_mass,
+    div_map,
+    element_table,
     eval_disp_basis,
     eval_stress_basis,
-    eval_stress_basis_div,
-    stress_divdiv_gram,
     stress_l2_gram,
 )
 from elastmix.grid import TensorGrid
-from elastmix.interpolate import StressField, interp_stress
+from elastmix.interpolate import DisplacementField, StressField, interp_stress
 from elastmix.material import apply_compliance
 from elastmix.quadrature import QUAD_POINTS, element_blocks, tensor_rule
 
@@ -48,6 +49,15 @@ def local_dofs(field, box):
     return interp_stress(grid, dofs, field).coeffs[dofs.element_stress[0]]
 
 
+def divergence(sigma_h):
+    """div sigma_h as the displacement field of the mapped coefficients."""
+    dofs = sigma_h.dofs
+    coeffs = np.empty(dofs.n_disp)
+    local = sigma_h.coeffs[dofs.element_stress]
+    coeffs[dofs.element_disp] = local @ div_map(dofs.grid.spacing).T
+    return DisplacementField(dofs, coeffs)
+
+
 def local_field(coeffs, box):
     """The stress field with local DOFs ``coeffs`` on the cell ``box``, as
     functions of physical points: values (m, dim, dim) and divergence (m, dim)."""
@@ -55,13 +65,14 @@ def local_field(coeffs, box):
     glob = np.zeros(dofs.n_stress)
     glob[dofs.element_stress[0]] = coeffs
     field = StressField(dofs, glob)
+    div = divergence(field)
 
     def xi(x):
         return (np.atleast_2d(x) - grid.lo) / grid.spacing
 
     return (
         lambda x: field.eval_elements(xi(x))[0],
-        lambda x: field.div_elements(xi(x))[0],
+        lambda x: div.eval_elements(xi(x))[0],
     )
 
 
@@ -71,11 +82,12 @@ def pointwise_error_norms(grid, exact, sigma_h, u_h):
     dim = grid.dim
     pts, w = tensor_rule(QUAD_POINTS, dim)
     sums = np.zeros(3)
+    div_h = divergence(sigma_h)
     for block, axes in element_blocks(grid):
         x = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, dim)
         cells = (block.stop - block.start, len(w))
         sig = exact.sigma(x).reshape(cells + (dim, dim)) - sigma_h.eval_elements(pts, block)
-        div = exact.f(x).reshape(cells + (dim,)) - sigma_h.div_elements(pts, block)
+        div = exact.f(x).reshape(cells + (dim,)) - div_h.eval_elements(pts, block)
         u = exact.u(x).reshape(cells + (dim,)) - u_h.eval_elements(pts, block)
         sums += [
             np.einsum("eqij,eqij,q->", sig, sig, w),
@@ -94,12 +106,10 @@ def scatter(local, rows, cols, shape):
     """Scatter the nonzero entries of one local matrix over per-element index
     arrays; duplicates sum, and sums that cancel to exactly 0.0 are not stored.
 
-    The local matrices hold their structural zeros as exact zeros, and the
-    div-div Gram also cancels exactly across cells: a face average of s_ii
-    meets a shear unknown of the pair (i, j) with opposite signs from the two
-    cells on either side of the face.  The triplets carry the index type the
-    CSR ends with (int32 while the shape and triplet count fit), so scipy does
-    not copy them to downcast.  This is the oracle of ``assemble``.
+    The local matrices hold their structural zeros as exact zeros.  The
+    triplets carry the index type the CSR ends with (int32 while the shape
+    and triplet count fit), so scipy does not copy them to downcast.  This is
+    the oracle of ``assemble``.
     """
     r_loc, c_loc = np.nonzero(local)
     ne = rows.shape[0]
@@ -115,12 +125,13 @@ def scatter(local, rows, cols, shape):
 
 def grams_and_mass(grid, dofs):
     """Global L2 and div-div Grams of the stress space and the displacement
-    mass, scattered from the exact local matrices as M and B are."""
+    mass, scattered from local matrices as M and B are: the exact L2 Gram and
+    mass, and the div-div Gram by quadrature of the pointwise divergence."""
     h, stress, disp = grid.spacing, dofs.element_stress, dofs.element_disp
     n_s, n_u = (dofs.n_stress,) * 2, (dofs.n_disp,) * 2
     return (
         scatter(stress_l2_gram(h), stress, stress, n_s),
-        scatter(stress_divdiv_gram(h), stress, stress, n_s),
+        scatter(quadrature_divdiv_gram(h), stress, stress, n_s),
         scatter(disp_mass(h), disp, disp, n_u),
     )
 
@@ -222,12 +233,33 @@ def dense_stability_probes(grid, material):
     return beta, float(eigs[0])
 
 
-# -- local matrices by quadrature ---------------------------------------------
+# -- the pointwise divergence and local matrices by quadrature -----------------
 # Integrands are at most degree 4 per axis (a diagonal quadratic times a
 # quadratic), so 3-point Gauss is exact up to rounding: structural zeros come
 # out as round-off of about 1e-18, not as 0.0.
 
 QUADRATURE_QPTS = 3
+
+
+def eval_stress_basis_div(dim, xi, spacing):
+    """Physical divergence of each shape function at reference points ``xi``,
+    shape (nfun, npts, dim): the 1D factors of the element table differentiated
+    one axis at a time, 1/h per derivative.  The oracle of ``div_map``."""
+    h = np.asarray(spacing, dtype=float)
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    table = element_table(dim)
+    out = np.zeros((len(table), xi.shape[0], dim))
+    for a, dof in enumerate(table):
+        i, j = dof.entry
+        # s_ij adds d/dx_j to component i of the divergence, and s_ji (the
+        # same function when i != j) d/dx_i to component j
+        for r, s in {(i, j), (j, i)}:
+            value = np.ones(xi.shape[0])
+            for k, p in enumerate(dof.factors):
+                factor = np.polynomial.Polynomial(p)
+                value *= (factor.deriv() if k == s else factor)(xi[:, k])
+            out[a, :, r] += value / h[s]
+    return out
 
 
 def _quadrature(spacing):

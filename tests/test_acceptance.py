@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from elastmix.assembly import assemble, assemble_load, build_dof_map
-from elastmix.element import (
-    disp_mass,
-    element_table,
-    eval_disp_basis,
-    eval_stress_basis_div,
-)
+from elastmix.element import disp_mass, element_table, eval_disp_basis
 from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import interp_stress
 from elastmix.material import LameParams
@@ -22,7 +17,13 @@ from elastmix.solver import solve
 from elastmix.study import StudyConfig, run_level, run_study
 from elastmix.verify import fit_rate, infsup_probe, kernel_ellipticity_probe
 from poly_utils import (
-    PolyTensorField, full_matrix, local_dofs, local_field, random_box, random_spacing,
+    PolyTensorField,
+    eval_stress_basis_div,
+    full_matrix,
+    local_dofs,
+    local_field,
+    random_box,
+    random_spacing,
 )
 
 MAT = LameParams(mu=0.5, lam=1.0)
@@ -265,7 +266,7 @@ def test_criterion_8_stability_probes():
         betas.append(infsup_probe(grid, MAT))
         alphas.append(kernel_ellipticity_probe(grid, MAT))
     decay_ok = all(b2 > 0.9 * b1 for b1, b2 in zip(betas, betas[1:]))
-    floor = MAT.compliance_floor(2) - 1e-10
+    floor = 1 / MAT.trace_factor(2) - 1e-10
     elapsed = time.perf_counter() - start
     ok = (
         all(b > 0.05 for b in betas)
@@ -291,7 +292,7 @@ def test_criterion_8_stability_probes_any_dimension(dim, levels):
         betas.append(infsup_probe(grid, MAT, max_dofs=10_000))
         alphas.append(kernel_ellipticity_probe(grid, MAT, max_dofs=10_000))
     slope = fit_rate(hs, betas)
-    floor = (1.0 - 1e-9) * MAT.compliance_floor(dim)
+    floor = (1.0 - 1e-9) / MAT.trace_factor(dim)
     elapsed = time.perf_counter() - start
     ok = (
         all(0.9 <= b <= 1.0 for b in betas)

@@ -127,6 +127,20 @@ def test_cli_main_success(tmp_path, capsys):
     assert out.exists()
 
 
+def test_cli_prints_each_warning_on_one_line(tmp_path, capsys):
+    # like the CLI's other messages, and with the hook put back afterwards
+    hook = warnings.showwarning
+    out = tmp_path / "two.csv"
+    assert main(["--levels", "2,4", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == "elastmix: warning: only 2 level(s); need 3 for a rate fit\n"
+    assert warnings.showwarning is hook
+    # only the format changes: a filter that makes the warning an error still does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="need 3 for a rate fit"):
+            main(["--levels", "2,4", "--output", str(out)])
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["--solution", "polynomial", "--levels", "4,4"]) == 2
     assert "configuration error" in capsys.readouterr().err

@@ -249,7 +249,7 @@ def _whole_array_projection(grid, dofs, u, npts=5):
     "dim, subs", [(2, (7, 5)), (3, (4, 3, 5)), (4, (3, 2, 3, 2))], ids=["2d", "3d", "4d"]
 )
 def test_basis_contractions_match_einsum(dim, subs):
-    from elastmix.element import eval_stress_basis, eval_stress_basis_div
+    from elastmix.element import eval_stress_basis
 
     rng = np.random.default_rng(dim)
     grid = TensorGrid(dim, list(zip(*random_box(dim, rng))), subs)
@@ -264,10 +264,6 @@ def test_basis_contractions_match_einsum(dim, subs):
         (
             sigma.eval_elements(xi, cells),
             np.einsum("el,lmij->emij", local_sigma, eval_stress_basis(dim, xi)),
-        ),
-        (
-            sigma.div_elements(xi, cells),
-            np.einsum("el,lmi->emi", local_sigma, eval_stress_basis_div(dim, xi, grid.spacing)),
         ),
         (u.eval_elements(xi, cells), np.einsum("el,lmi->emi", local_u, eval_disp_basis(dim, xi))),
     ]

@@ -23,7 +23,7 @@ from elastmix.solver import (
     _saddle_operators,
     solve,
 )
-from poly_utils import full_matrix
+from poly_utils import eval_stress_basis_div, full_matrix
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -368,20 +368,21 @@ def test_weak_form_consistent_with_pointwise_quadrature():
 
     pts, w = tensor_rule(3, 2)
     vol = grid.element_volume
+    div_basis = eval_stress_basis_div(2, pts, grid.spacing)
+
+    def div_values(field):
+        return np.einsum("el,lqi->eqi", field.coeffs[dofs.element_stress], div_basis)
+
     a_vals = apply_compliance(MAT, 2, sigma_h.eval_elements(pts))
     form_a = vol * np.einsum("eqij,eqij,q->", a_vals, tau.eval_elements(pts), w)
-    form_div_tau = vol * np.einsum(
-        "eqi,eqi,q->", tau.div_elements(pts), u_h.eval_elements(pts), w
-    )
+    form_div_tau = vol * np.einsum("eqi,eqi,q->", div_values(tau), u_h.eval_elements(pts), w)
     # first equation: (A sigma_h, tau) + (div tau, u_h) = 0
     scale = abs(form_a) + abs(form_div_tau)
     assert abs(form_a + form_div_tau) <= 1e-10 * max(1.0, scale)
     # matrix route agrees with the quadrature route
     assert form_a == pytest.approx(tau.coeffs @ (system.M @ sigma_h.coeffs), rel=1e-11)
     # second equation: (div sigma_h, v) = (f, v)
-    form_div_sigma = vol * np.einsum(
-        "eqi,eqi,q->", sigma_h.div_elements(pts), v.eval_elements(pts), w
-    )
+    form_div_sigma = vol * np.einsum("eqi,eqi,q->", div_values(sigma_h), v.eval_elements(pts), w)
     assert form_div_sigma == pytest.approx(load @ v.coeffs, rel=1e-10)
 
 
@@ -396,7 +397,9 @@ def test_discrete_divergence_is_projected_load():
     sigma_h, _, _ = solve(system, load)
     ph_f = project_displacement(grid, dofs, sine_solution(2, MAT).f)
     pts, _ = tensor_rule(3, 2)
-    gap = np.abs(sigma_h.div_elements(pts) - ph_f.eval_elements(pts)).max()
+    div_basis = eval_stress_basis_div(2, pts, grid.spacing)
+    div_h = np.einsum("el,lqi->eqi", sigma_h.coeffs[dofs.element_stress], div_basis)
+    gap = np.abs(div_h - ph_f.eval_elements(pts)).max()
     scale = np.abs(ph_f.eval_elements(pts)).max()
     assert gap <= 1e-9 * scale
 
@@ -411,8 +414,11 @@ def test_deterministic_for_fixed_inputs():
 
 def test_input_validation():
     _, dofs, system, load = _assembled(n=2)
-    with pytest.raises(ValueError):
-        solve(system, load, tol=0.0)
+    # a bad tolerance is rejected before any product: the blocks are not matrices
+    blockless = dataclasses.replace(system, M=None, B=None)
+    for tol in (0.0, -1e-11, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve(blockless, load, tol=tol)
     with pytest.raises(ValueError):
         solve(system, load[:-1])
     for method in ("cg", "direct"):

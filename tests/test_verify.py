@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from elastmix import verify
 from elastmix.assembly import build_dof_map
-from elastmix.element import local_div_matrix as div
 from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
@@ -27,9 +25,11 @@ from elastmix.verify import (
 )
 from poly_utils import (
     dense_stability_probes,
+    divergence,
     grams_and_mass,
     partial_block_grid,
     pointwise_error_norms,
+    random_box,
 )
 
 MAT = LameParams(mu=0.5, lam=1.0)
@@ -119,24 +119,6 @@ def test_error_norms_zero_fields_give_exact_norms():
     assert rec.sigma_div == pytest.approx(np.pi**2 * np.sqrt(5.0) / 2.0, rel=1e-9)
 
 
-def test_error_norms_build_the_div_map_once_per_spacing(monkeypatch):
-    # the map depends only on the cell spacing: equal grids built apart share
-    # it, a grid of another spacing gets its own
-    calls = []
-    monkeypatch.setattr(verify, "local_div_matrix", lambda h: calls.append(h) or div(h))
-    verify._div_map.cache_clear()
-    exact = sine_solution(2, MAT)
-    records = []
-    for grid in (unit_grid(2, 5), unit_grid(2, 5), unit_grid(2, 6), unit_grid(2, 5)):
-        dofs = build_dof_map(grid)
-        pi_sigma = interp_stress(grid, dofs, exact.sigma)
-        u_h = DisplacementField(dofs, np.zeros(dofs.n_disp))
-        records.append(error_norms(grid, exact, pi_sigma, u_h))
-    verify._div_map.cache_clear()
-    assert len(calls) == 2
-    assert records[0] == records[1] == records[3]
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_blocked_error_norms_match_whole_array(dim):
     grid = partial_block_grid(dim)
@@ -151,7 +133,7 @@ def test_blocked_error_norms_match_whole_array(dim):
     x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
     flat = x.reshape(-1, dim)
     sig = exact.sigma(flat).reshape(x.shape + (dim,)) - sigma_h.eval_elements(pts)
-    div = exact.f(flat).reshape(x.shape) - sigma_h.div_elements(pts)
+    div = exact.f(flat).reshape(x.shape) - divergence(sigma_h).eval_elements(pts)
     u = exact.u(flat).reshape(x.shape) - u_h.eval_elements(pts)
     vol = grid.element_volume
     expected = {
@@ -261,6 +243,21 @@ def test_superclose_matches_global_gram_matvec():
     assert rec.super_u_l2**2 == pytest.approx(du @ (mass @ du), rel=1e-12)
 
 
+@pytest.mark.parametrize("dim, subs", [(2, (5, 3)), (3, (3, 2, 4))], ids=["2d", "3d"])
+def test_superclose_div_norm_matches_quadrature_form(dim, subs):
+    # the div norm reads the mapped coefficients in the displacement mass;
+    # the oracle integrates the pointwise divergence of the basis
+    rng = np.random.default_rng(50 + dim)
+    grid = TensorGrid(dim, list(zip(*random_box(dim, rng))), subs)
+    dofs = build_dof_map(grid)
+    a, b = rng.standard_normal((2, dofs.n_stress))
+    u = DisplacementField(dofs, np.zeros(dofs.n_disp))
+    rec = superclose_norms(StressField(dofs, a), StressField(dofs, b), u, u)
+    _, g_div, _ = grams_and_mass(grid, dofs)
+    d = a - b
+    assert rec.super_sigma_div**2 == pytest.approx(d @ (g_div @ d), rel=1e-12)
+
+
 def test_superclose_identical_fields_zero():
     grid = unit_grid(2, 2)
     dofs = build_dof_map(grid)
@@ -295,7 +292,7 @@ def test_infsup_probe_positive_and_mesh_stable():
 
 def test_kernel_ellipticity_bounded_below():
     alpha = kernel_ellipticity_probe(unit_grid(2, 2), MAT)
-    assert alpha >= MAT.compliance_floor(2) - 1e-10
+    assert alpha >= 1 / MAT.trace_factor(2) - 1e-10
 
 
 def test_probe_budget_enforced():
@@ -326,7 +323,7 @@ def test_probes_uniform_in_lambda(dim, n):
     for lam in (1.0, 1e4, 1e8):
         material = LameParams(mu=0.7, lam=lam)
         alpha = kernel_ellipticity_probe(grid, material)
-        assert alpha == pytest.approx(material.compliance_floor(dim), rel=1e-6)
+        assert alpha == pytest.approx(1 / material.trace_factor(dim), rel=1e-6)
         betas.append(infsup_probe(grid, material))
     # B, the Grams and the displacement mass do not depend on the material
     assert betas[0] == betas[1] == betas[2]
@@ -340,7 +337,7 @@ def test_probes_need_no_dense_eigensolver(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "svd", refuse)
     grid = unit_grid(2, 12)
     assert infsup_probe(grid, MAT) > 0.9
-    assert kernel_ellipticity_probe(grid, MAT) >= MAT.compliance_floor(2) - 1e-10
+    assert kernel_ellipticity_probe(grid, MAT) >= 1 / MAT.trace_factor(2) - 1e-10
 
 
 def test_infsup_probe_past_default_budget():
@@ -390,7 +387,7 @@ def test_probes_assemble_nothing_and_never_factor_the_metric(monkeypatch):
     monkeypatch.setattr(arpack, "get_inv_matvec", refuse)
     grid = unit_grid(2, 8)
     assert 0.9 <= infsup_probe(grid, MAT) <= 1.0
-    assert kernel_ellipticity_probe(grid, MAT) == pytest.approx(MAT.compliance_floor(2), rel=1e-9)
+    assert kernel_ellipticity_probe(grid, MAT) == pytest.approx(1 / MAT.trace_factor(2), rel=1e-9)
 
 
 def test_superclose_rate_exceeds_plain_rate():
