@@ -10,7 +10,9 @@ a local DOF on a cell is its family's start plus the flat lattice position of
 the cell's multi-index shifted by the table's entity offset.  Sharing a single
 global coefficient per entity is exactly what makes the broken space H(div)
 conforming.  Displacement unknowns live in their own block, two per element
-and component, and are never shared.
+and component, and are never shared.  The per-cell tables of global indices
+are int32 while every unknown's index fits, as the CSR indices are, and
+int64 past that.
 
 All elements of a uniform grid are congruent, so the local matrices are
 computed once.  They are exact products of 1D integrals with their
@@ -19,8 +21,12 @@ CSR on the pattern of the nonzero local entries.  A row p of M, a point of
 its family's lattice, meets the unknown p + delta of a family G through the
 local pairs with offset_b - offset_a = delta, on the cells p - offset_a that
 exist; ordered by G and then by delta, these groups give every row's columns
-sorted.  A row of B belongs to one cell, and every cell repeats one sorted
-local pattern.  The load is assigned cell by cell.
+sorted.  Which cells exist depends only on the row's boundary code, so a
+row's count of nonzeros is that of its code: M's three CSR arrays are
+allocated once, at their final size, and each family compresses its rows'
+values and columns into its slice.  A row of B belongs to one cell, and
+every cell repeats one sorted local pattern.  The load is assigned cell by
+cell.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ class DofMap:
     grid: TensorGrid
     n_stress: int
     n_disp: int
+    # int32 while every unknown's index fits, else int64 (``_index_dtype``)
     element_stress: np.ndarray  # (n_elements, 2*dim**2 + dim) global stress indices
     element_disp: np.ndarray  # (n_elements, 2*dim) global displacement indices
     families: tuple[tuple[tuple[int, int], tuple[int, ...], int], ...]
@@ -83,7 +90,7 @@ def _lattice_sum(dims, vectors, dtype=np.int64) -> np.ndarray:
     return out.reshape((-1,) + tail)
 
 
-def _columns(dims, starts, strides, shifts, dtype=np.int64) -> np.ndarray:
+def _columns(dims, starts, strides, shifts, dtype) -> np.ndarray:
     """starts[j] plus the flat position of p + shifts[j] in the lattice with
     strides[j], at every point p of the lattice ``dims``: shape (-1, j)."""
     vectors = [(np.arange(d)[:, None] + shifts[:, k]) * strides[:, k] for k, d in enumerate(dims)]
@@ -97,8 +104,9 @@ def build_dof_map(grid: TensorGrid) -> DofMap:
     families, family_of, offsets = _families(dim)
     starts = np.cumsum([0] + [int(np.prod(subs + nodal)) for _, nodal in families])
     strides = np.array([flat_strides(subs + nodal) for _, nodal in families])[family_of]
-    element_stress = _columns(subs, starts[family_of], strides, offsets)
-    element_disp = np.arange(2 * dim * ne, dtype=np.int64).reshape(ne, 2 * dim)
+    index = _index_dtype(int(starts[-1]) + 2 * dim * ne)
+    element_stress = _columns(subs, starts[family_of], strides, offsets, index)
+    element_disp = np.arange(2 * dim * ne, dtype=index).reshape(ne, 2 * dim)
 
     element_stress.setflags(write=False)
     element_disp.setflags(write=False)
@@ -151,18 +159,26 @@ def _stress_csr(local: np.ndarray, dofs: DofMap) -> sp.csr_matrix:
     table = np.add.reduceat(np.where(exists, local.ravel()[pairs], 0.0), starts, axis=1)
     family_starts = np.array([start for _, _, start in dofs.families])
     strides = np.array([flat_strides(subs + nodal) for _, nodal, _ in dofs.families])
-    counts, data, indices = [[0]], [], []
-    for (_, nodal, _), (groups, targets, deltas) in zip(dofs.families, rows):
-        dims = subs + nodal
-        code = [np.array([0] + [2] * (d - 1 - c) + [1] * c) for d, c in zip(dims, nodal)]
-        values = table[:, groups][_lattice_sum(dims, [v * 3**k for k, v in enumerate(code)])]
-        keep = values != 0
-        counts.append(keep.sum(axis=1))
-        data.append(values[keep])
-        cols = _columns(dims, family_starts[targets], strides[targets], deltas, index)
-        indices.append(cols[keep])
-    indptr = np.cumsum(np.concatenate(counts), dtype=index)
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n))
+
+    def codes(nodal):  # each row's boundary code, flat in the family's lattice
+        code = [np.array([0] + [2] * (d - 1 - c) + [1] * c) for d, c in zip(subs + nodal, nodal)]
+        return _lattice_sum(subs + nodal, [v * 3**k for k, v in enumerate(code)])
+
+    # a row's count of nonzeros is that of its boundary code
+    indptr = np.zeros(n + 1, index)
+    for (_, nodal, start), (groups, _, _) in zip(dofs.families, rows):
+        counts = np.count_nonzero(table[:, groups], axis=1)[codes(nodal)]
+        indptr[start + 1 : start + 1 + counts.size] = counts
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], index)
+    for (_, nodal, start), (groups, targets, deltas) in zip(dofs.families, rows):
+        values = table[:, groups][codes(nodal)]
+        keep = (values != 0).ravel()
+        part = slice(indptr[start], indptr[start + values.shape[0]])
+        np.compress(keep, values.ravel(), out=data[part])
+        cols = _columns(subs + nodal, family_starts[targets], strides[targets], deltas, index)
+        np.compress(keep, cols.ravel(), out=indices[part])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _disp_csr(local: np.ndarray, dofs: DofMap) -> sp.csr_matrix:
@@ -175,7 +191,7 @@ def _disp_csr(local: np.ndarray, dofs: DofMap) -> sp.csr_matrix:
     ne, n_loc = dofs.element_disp.shape
     index = _index_dtype(max(dofs.n_disp, dofs.n_stress, ne * r.size))
     indptr = np.cumsum(np.r_[0, np.tile(np.bincount(r, minlength=n_loc), ne)], dtype=index)
-    indices = np.take(dofs.element_stress.astype(index), c, axis=1).ravel()
+    indices = np.take(dofs.element_stress, c, axis=1).astype(index, copy=False).ravel()
     data = np.tile(local[r, c], ne)
     return sp.csr_matrix((data, indices, indptr), shape=(dofs.n_disp, dofs.n_stress))
 

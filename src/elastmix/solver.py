@@ -14,11 +14,14 @@ contractions on an input scaled by a power of two), so the iteration count
 stays flat under mesh refinement.  Both inverses are plans built once per
 solve; each apply writes into the iteration's work vector in place, from
 one scratch pool per plan, with no vector-sized temporaries.  The products
-with M, B and B^T are summed into their output in place too, so a solve
-holds one right-hand-side vector b, MINRES's eight work vectors and the
-plans' scratch, and one more vector only in a correction run.  The
+with M, B and B^T are summed into their output in place too.  The
 iteration is MINRES (Paige and Saunders, SIAM J. Numer. Anal. 1975) with
-scipy's recurrences, run in place from zero.  It stops on the contract's own
+scipy's recurrences, run in place from zero on seven work vectors: the
+first run reads the load F alone as the right-hand side [0, F], and the
+residual's vector is allocated only after it, once the work vectors are
+freed.  A solve thus holds MINRES's seven vectors and the plans' scratch,
+and a correction run two more: the residual it solves for and the running
+sum of the iterates.  It stops on the contract's own
 residual: when its running estimate of the residual in the preconditioner's
 norm reaches the bound, the true residual is measured once, and a miss
 rescales the estimate's target by the measured gap.  No part of the rule
@@ -124,11 +127,6 @@ def solve(
             report,
         )
     n_stress = dofs.n_stress
-    # the one right-hand-side vector: [0, F] for the first run, then the
-    # residual measured after each run, written into the same storage
-    b = np.zeros(system.n_total)
-    b[n_stress:] = load
-
     multiply, apply = _saddle_operators(system)
     setup_time = time.perf_counter() - start
     iterations = [0]
@@ -142,14 +140,16 @@ def solve(
     # A run that spent its whole cap found no way down: on an inconsistent
     # system every further run ends at the cap too, lowering the residual in
     # its fifth digit (2D N=16 with one zero row of B: 3 runs of 1000)
-    atol, x = tol * rhs_norm, None
+    atol, x, b = tol * rhs_norm, None, None
     residual = 1.0
     for restarts in range(8):
         before = iterations[0]
-        if x is None:  # the first run's iterate becomes the solution
-            x = _minres(multiply, apply, b, atol, _MAX_RUN_ITERATIONS, count)
-        else:  # only a correction run holds the running sum as one more vector
-            x += _minres(multiply, apply, b, atol, _MAX_RUN_ITERATIONS, count)
+        if x is None:  # the first run takes [0, F] as the load alone
+            x = _minres(multiply, apply, load, system.n_total, atol, _MAX_RUN_ITERATIONS, count)
+            # the residual's vector, allocated once the work vectors are freed
+            b = np.empty_like(x)
+        else:  # a correction run holds the running sum as one more vector
+            x += _minres(multiply, apply, b, system.n_total, atol, _MAX_RUN_ITERATIONS, count)
         capped = iterations[0] - before == _MAX_RUN_ITERATIONS
         # b = [0, F] - K x
         multiply(x, b)
@@ -214,29 +214,33 @@ def _saddle_operators(system):
     return multiply, apply
 
 
-def _minres(multiply, apply, b, atol, maxiter, callback):
-    """Preconditioned MINRES for the symmetric system A x = b, from x = 0.
+def _minres(multiply, apply, b, size, atol, maxiter, callback):
+    """Preconditioned MINRES for the symmetric system A x = [0, b], from x = 0.
 
+    The right-hand side has ``size`` entries, of which ``b`` is the trailing
+    block and the rest are zero; ``b`` may be the whole of it.
     ``multiply(x, out)`` writes A x and ``apply(r, out)`` the preconditioner
     P times r into ``out``; ``callback(x)`` runs after every iteration.  The
-    recurrences are scipy's ``minres``, run in place on vectors allocated
-    once, so the iterates agree with scipy's up to rounding.
+    recurrences are scipy's ``minres``, run in place on seven vectors
+    allocated once, so the iterates agree with scipy's up to rounding.
 
-    The run stops once ``||b - A x|| <= atol`` in the 2-norm.  That norm is
-    measured only where phibar, the P-norm of the residual of the current
+    The run stops once ``||[0, b] - A x|| <= atol`` in the 2-norm.  That norm
+    is measured only where phibar, the P-norm of the residual of the current
     iterate, falls to a target, at first ``atol / ||b||`` times beta1, the
-    P-norm of b, and never below the rounding floor ``eps * beta1``.  A
-    measurement above ``atol`` scales the target by the gap it shows and the
-    run goes on in the same Krylov space; a target below the floor stops it,
-    and so does a Lanczos breakdown (beta = 0, so phibar = 0).  No part of
-    the rule depends on the scale of A, x or b.
+    P-norm of the right-hand side, and never below the rounding floor
+    ``eps * beta1``.  A measurement above ``atol`` scales the target by the
+    gap it shows and the run goes on in the same Krylov space; a target
+    below the floor stops it, and so does a Lanczos breakdown (beta = 0, so
+    phibar = 0).  No part of the rule depends on the scale of A, x or b.
     """
     eps = np.finfo(float).eps
+    lead = size - b.size  # the zero block of the right-hand side
     # the iterate is allocated last: it outlives the work vectors, whose
     # space the next run can then reuse
-    r1, r2, y, v, w1 = (np.empty_like(b) for _ in range(5))
-    w, w2, x = (np.zeros_like(b) for _ in range(3))
-    r1[:] = b
+    r1, r2, y, v = (np.empty(size) for _ in range(4))
+    w1, w2, x = (np.zeros(size) for _ in range(3))
+    r1[:lead] = 0.0
+    r1[lead:] = b
     apply(r1, y)
     beta1 = float(np.inner(r1, y))
     if beta1 < 0:
@@ -245,19 +249,19 @@ def _minres(multiply, apply, b, atol, maxiter, callback):
         return x
     r2[:] = r1
     beta = phibar = beta1 = math.sqrt(beta1)
-    target = max(atol / float(np.linalg.norm(b)), eps) * beta1
+    target = max(atol / float(np.linalg.norm(r1)), eps) * beta1
     oldb = dbar = epsln = sn = 0.0
     cs = -1.0
     for itn in range(1, maxiter + 1):
-        # Lanczos step: basis vector v, next residual r2 and y = P r2; r1 and
-        # w1 are dead until overwritten, so they serve as scratch
+        # Lanczos step: basis vector v, next residual r2 and y = P r2; r1 is
+        # dead once it is subtracted, so it holds the step's scratch
         np.multiply(y, 1.0 / beta, out=v)
         multiply(v, y)
         if itn >= 2:
             r1 *= beta / oldb
             y -= r1
         alfa = float(np.inner(v, y))
-        y -= np.multiply(r2, alfa / beta, out=w1)
+        y -= np.multiply(r2, alfa / beta, out=r1)
         r1, r2, y = r2, y, r1
         apply(r2, y)
         oldb, beta = beta, float(np.inner(r2, y))
@@ -272,17 +276,21 @@ def _minres(multiply, apply, b, atol, maxiter, callback):
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
 
-        # w = (v - oldeps w1 - delta w2) / gamma, x += phi w; v is then dead
-        w1, w2, w = w2, w, w1
-        np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
-        w -= np.multiply(w2, delta, out=v)
-        w *= 1.0 / gamma
-        x += np.multiply(w, phi, out=v)
+        # w = (v - oldeps w1 - delta w2) / gamma over w1, the oldest direction,
+        # then x += phi w; v is then dead
+        np.subtract(v, np.multiply(w1, oldeps, out=w1), out=w1)
+        w1 -= np.multiply(w2, delta, out=v)
+        w1 *= 1.0 / gamma
+        x += np.multiply(w1, phi, out=v)
+        w1, w2 = w2, w1
         callback(x)
         if phibar <= target:
-            # measure the 2-norm residual in v, dead until the next step
+            # measure the 2-norm residual [0, b] - A x in v, dead until the
+            # next step
             multiply(x, v)
-            norm = float(np.linalg.norm(np.subtract(b, v, out=v)))
+            np.negative(v[:lead], out=v[:lead])
+            np.subtract(b, v[lead:], out=v[lead:])
+            norm = float(np.linalg.norm(v))
             if norm <= atol:
                 break
             # scale the target by the measured gap; below the rounding floor

@@ -55,7 +55,7 @@ from .grid import TensorGrid
 from .interpolate import DisplacementField, StressField
 from .manufactured import ExactSolution
 from .material import LameParams
-from .quadrature import _cell_moments
+from .quadrature import BLOCK_POINTS, _cell_moments
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,18 @@ def superclose_norms(
     grid = dofs.grid
     h = grid.spacing
 
-    mass = disp_mass(h)
-    d_sigma = (sigma_h.coeffs - pi_sigma.coeffs)[dofs.element_stress]
-    l2_sq = _cell_form(d_sigma, stress_l2_gram(h))
-    div_sq = _cell_form(d_sigma @ div_map(h).T, mass)
-    u_sq = _cell_form((u_h.coeffs - ph_u.coeffs)[dofs.element_disp], mass)
+    mass, gram, div = disp_mass(h), stress_l2_gram(h), div_map(h).T
+    stress, disp = dofs.element_stress, dofs.element_disp
+    # the forms are summed over slabs of cells in flat order, as the moments
+    # of ``_cell_moments`` are, so no (n_elements, nfun) table is built
+    slab = max(1, BLOCK_POINTS // stress.shape[1])
+    l2_sq = div_sq = u_sq = 0.0
+    for start in range(0, grid.n_elements, slab):
+        cells = slice(start, start + slab)
+        d_sigma = sigma_h.coeffs[stress[cells]] - pi_sigma.coeffs[stress[cells]]
+        l2_sq += _cell_form(d_sigma, gram)
+        div_sq += _cell_form(d_sigma @ div, mass)
+        u_sq += _cell_form(u_h.coeffs[disp[cells]] - ph_u.coeffs[disp[cells]], mass)
 
     return ErrorRecord(
         h=grid.max_spacing,

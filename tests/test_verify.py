@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from elastmix.interpolate import (
 from elastmix.manufactured import AxisField, sine_solution
 from elastmix.material import LameParams
 from elastmix.quadrature import tensor_rule
+import elastmix.verify
 from elastmix.verify import (
     error_norms,
     fit_rate,
@@ -220,7 +222,7 @@ def test_superclose_unit_volume_coefficient():
     assert rec.super_sigma_l2 == pytest.approx(np.sqrt(6.0 / 5.0), rel=1e-14)
 
 
-def test_superclose_matches_global_gram_matvec():
+def test_superclose_matches_global_gram_matvec(monkeypatch):
     grid = unit_grid(2, 3)
     dofs = build_dof_map(grid)
     rng = np.random.default_rng(44)
@@ -228,7 +230,7 @@ def test_superclose_matches_global_gram_matvec():
     b = rng.standard_normal(dofs.n_stress)
     ua = rng.standard_normal(dofs.n_disp)
     ub = rng.standard_normal(dofs.n_disp)
-    rec = superclose_norms(
+    fields = (
         StressField(dofs, a),
         StressField(dofs, b),
         DisplacementField(dofs, ua),
@@ -236,11 +238,17 @@ def test_superclose_matches_global_gram_matvec():
     )
     g_l2, g_div, mass = grams_and_mass(grid, dofs)
     d, du = a - b, ua - ub
-    assert rec.super_sigma_l2**2 == pytest.approx(d @ (g_l2 @ d), rel=1e-12)
-    assert rec.super_sigma_hdiv**2 == pytest.approx(
-        d @ ((g_l2 + g_div) @ d), rel=1e-12
-    )
-    assert rec.super_u_l2**2 == pytest.approx(du @ (mass @ du), rel=1e-12)
+    # the forms are summed over slabs of cells: one slab, then slabs of 7
+    # cells, the last one partial
+    for block_points in (None, 70):
+        if block_points is not None:
+            monkeypatch.setattr(elastmix.verify, "BLOCK_POINTS", block_points)
+        rec = superclose_norms(*fields)
+        assert rec.super_sigma_l2**2 == pytest.approx(d @ (g_l2 @ d), rel=1e-12)
+        assert rec.super_sigma_hdiv**2 == pytest.approx(
+            d @ ((g_l2 + g_div) @ d), rel=1e-12
+        )
+        assert rec.super_u_l2**2 == pytest.approx(du @ (mass @ du), rel=1e-12)
 
 
 @pytest.mark.parametrize("dim, subs", [(2, (5, 3)), (3, (3, 2, 4))], ids=["2d", "3d"])
@@ -256,6 +264,30 @@ def test_superclose_div_norm_matches_quadrature_form(dim, subs):
     _, g_div, _ = grams_and_mass(grid, dofs)
     d = a - b
     assert rec.super_sigma_div**2 == pytest.approx(d @ (g_div @ d), rel=1e-12)
+
+
+def test_superclose_norms_peak_memory_by_cell_slabs():
+    # whole-mesh (n_elements, nfun) difference tables took 40 MiB here
+    grid = unit_grid(2, 512)
+    dofs = build_dof_map(grid)
+    rng = np.random.default_rng(61)
+    a, b = rng.standard_normal((2, dofs.n_stress))
+    ua, ub = rng.standard_normal((2, dofs.n_disp))
+    fields = (
+        StressField(dofs, a),
+        StressField(dofs, b),
+        DisplacementField(dofs, ua),
+        DisplacementField(dofs, ub),
+    )
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        rec = superclose_norms(*fields)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(rec.super_sigma_hdiv) and np.isfinite(rec.super_u_l2)
+    assert peak - before < 8 * 2**20
 
 
 def test_superclose_identical_fields_zero():
