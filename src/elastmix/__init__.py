@@ -10,8 +10,6 @@ _EXPORTS = {
     "TensorGrid": "grid",
     "unit_grid": "grid",
     "LameParams": "material",
-    "apply_compliance": "material",
-    "apply_stiffness": "material",
     "local_compliance_matrix": "element",
     "local_div_matrix": "element",
     "DofMap": "assembly",

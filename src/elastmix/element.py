@@ -1,4 +1,4 @@
-"""The element table, reference-element bases and local matrices.
+"""The element table and the local matrices.
 
 On an element K the discrete spaces are
 
@@ -23,7 +23,10 @@ and a shear entry carries the hats 1 - xi and xi along its two axes, one
 per corner of the unit square in (xi_i, xi_j), counterclockwise from the
 origin.  ``element_table`` lists, for each local stress DOF, its tensor
 entry, its factor on each axis and where its entity sits on the cell; the
-bases, the local matrices, the DOF map and the Schur factors all read it.
+local matrices, the weights of the data integrals, the DOF map and the
+Schur factors all read it.  Nothing here evaluates a basis at points: the
+integrals take the factors axis by axis, and the pointwise bases are the
+tests' oracles.
 Local displacement DOF b is component b // 2 times the moment xi^(b % 2) of
 the component's own axis.
 
@@ -115,7 +118,7 @@ def _entries(entry: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     return ((i, j), (j, i)) if i != j else ((i, i),)
 
 
-# -- basis evaluation ---------------------------------------------------------
+# -- factors at points --------------------------------------------------------
 
 
 def _eval_factors(factors: tuple[tuple[int, ...], ...], xi: np.ndarray):
@@ -128,27 +131,6 @@ def _eval_factors(factors: tuple[tuple[int, ...], ...], xi: np.ndarray):
                 f = f * xi[:, k] + c
             value = value * f
     return value
-
-
-def _evaluate(terms, xi, shape: tuple[int, ...]) -> np.ndarray:
-    """A family of functions given as terms (see ``_stress_terms``) at points
-    ``xi``, shape (nfun, npts) + ``shape``; a term's key is its index there."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    out = np.zeros((len(terms), xi.shape[0]) + shape)
-    for a, function in enumerate(terms):
-        for key, scale, factors in function:
-            out[(a, slice(None)) + np.index_exp[key]] += scale * _eval_factors(factors, xi)
-    return out
-
-
-def eval_stress_basis(dim: int, xi: np.ndarray) -> np.ndarray:
-    """Shape-function tensors at reference points, shape (nfun, npts, dim, dim)."""
-    return _evaluate(_unit_cell(dim)[0], xi, (dim, dim))
-
-
-def eval_disp_basis(dim: int, xi: np.ndarray) -> np.ndarray:
-    """Displacement basis vectors at reference points, shape (2*dim, npts, dim)."""
-    return _evaluate(_disp_terms(dim), xi, (dim,))
 
 
 # -- local matrices -----------------------------------------------------------

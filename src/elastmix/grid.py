@@ -7,24 +7,27 @@ planes perpendicular to one axis and the (n-2)-faces perpendicular to an
 axis pair -- form lattices of the same kind, with ``N_k + 1`` points along
 the axes where they lie on grid planes; ``assembly.build_dof_map`` numbers
 them from the element table.  Grids are immutable and store no coordinate
-arrays; geometry is derived from the box and counts on demand.
+arrays; geometry is derived from the box and counts on demand, and the
+integrals build each lattice's coordinates axis by axis
+(``quadrature._cell_moments``).  The dimension and the counts are integers:
+a float, even a whole one, is rejected rather than truncated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 
-def multi_index_array(dims: Sequence[int]) -> np.ndarray:
-    """All multi-indices over ``dims``, shape (prod(dims), len(dims)), axis 0 fastest."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    axes = np.meshgrid(*[np.arange(d, dtype=np.int64) for d in dims], indexing="ij")
-    return np.stack([a.reshape(-1, order="F") for a in axes], axis=-1)
+def as_count(value, what: str) -> int:
+    """``value`` as an int; a non-integer, even a whole float, is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def flat_strides(dims: Sequence[int]) -> np.ndarray:
@@ -44,13 +47,14 @@ class TensorGrid:
     subdivisions: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"grid dimension must be at least 2, got {self.dim}")
+        dim = as_count(self.dim, "grid dimension")
+        if dim < 2:
+            raise ValueError(f"grid dimension must be at least 2, got {dim}")
         box = tuple((float(a), float(b)) for a, b in self.box)
-        subs = tuple(int(n) for n in self.subdivisions)
-        if len(box) != self.dim or len(subs) != self.dim:
+        subs = tuple(as_count(n, "subdivision count") for n in self.subdivisions)
+        if len(box) != dim or len(subs) != dim:
             raise ValueError(
-                f"box and subdivisions must have length {self.dim}, "
+                f"box and subdivisions must have length {dim}, "
                 f"got {len(box)} and {len(subs)}"
             )
         for a, b in box:
@@ -59,6 +63,7 @@ class TensorGrid:
         for n in subs:
             if n < 1:
                 raise ValueError(f"subdivision counts must be positive, got {n}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "subdivisions", subs)
 
@@ -89,14 +94,6 @@ class TensorGrid:
     @property
     def n_elements(self) -> int:
         return int(np.prod(self.subdivisions))
-
-    def element_multi_array(self) -> np.ndarray:
-        """Multi-indices of all elements in flat order, shape (n_elements, dim)."""
-        return multi_index_array(self.subdivisions)
-
-    def element_origins(self) -> np.ndarray:
-        """Lower corners of all elements in flat order, shape (n_elements, dim)."""
-        return self.lo + self.element_multi_array() * self.spacing
 
 
 def unit_grid(dim: int, n: int) -> TensorGrid:

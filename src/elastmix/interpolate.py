@@ -14,8 +14,9 @@ against the moments (u, psi_b), i.e. the load vector of u.
 
 Both take their averages and moments from ``quadrature._cell_moments``,
 slab by slab: for a separable exact field they are outer products of 1D
-Gauss sums, one per axis; any other field is summed over the quadrature
-points.
+Gauss sums, one per axis; any other callable is summed over the quadrature
+points.  The fields are coefficient vectors only; their values at points
+are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -27,21 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import DofMap, check_grid
-from .element import (
-    _disp_terms,
-    _ONE,
-    disp_mass,
-    eval_disp_basis,
-    eval_stress_basis,
-)
+from .element import _disp_terms, _ONE, disp_mass
 from .grid import TensorGrid
 from .quadrature import _cell_moments
-
-
-def _contract(local: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Sum local coefficients (ne, nfun) against basis values (nfun, ...): one
-    matrix product over the flattened basis, (ne, ...)."""
-    return (local @ basis.reshape(basis.shape[0], -1)).reshape(local.shape[:1] + basis.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -59,15 +48,6 @@ class StressField:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
-    def eval_elements(self, xi: np.ndarray, elements: slice = slice(None)) -> np.ndarray:
-        """Tensor values at reference points on the elements, (ne, m, dim, dim).
-
-        ``elements`` selects a slice of the flat element order (default: all).
-        """
-        basis = eval_stress_basis(self.dofs.grid.dim, xi)
-        local = self.coeffs[self.dofs.element_stress[elements]]
-        return _contract(local, basis)
-
 
 @dataclass(frozen=True)
 class DisplacementField:
@@ -83,15 +63,6 @@ class DisplacementField:
                 f"expected {self.dofs.n_disp} displacement coefficients, got {coeffs.shape}"
             )
         object.__setattr__(self, "coeffs", coeffs)
-
-    def eval_elements(self, xi: np.ndarray, elements: slice = slice(None)) -> np.ndarray:
-        """Vector values at reference points on the elements, (ne, m, dim).
-
-        ``elements`` selects a slice of the flat element order (default: all).
-        """
-        basis = eval_disp_basis(self.dofs.grid.dim, xi)
-        local = self.coeffs[self.dofs.element_disp[elements]]
-        return _contract(local, basis)
 
 
 def interp_stress(

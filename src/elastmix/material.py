@@ -1,4 +1,4 @@
-"""Isotropic linear elasticity: Lame parameters, compliance A and stiffness C = A^-1.
+"""Isotropic linear elasticity: the Lame parameters.
 
 The compliance acting on a symmetric n x n tensor is
 
@@ -6,7 +6,9 @@ The compliance acting on a symmetric n x n tensor is
 
 its inverse is C e = 2 mu e + lam tr(e) I.  On symmetric tensors A is SPD with
 spectrum {1/(2 mu), 1/(2 mu + n lam)}, the smaller eigenvalue attained on
-multiples of the identity.
+multiples of the identity.  Only its cell integrals are formed
+(``element.local_compliance_matrix``); the manufactured stresses apply C
+term by term.
 """
 
 from __future__ import annotations
@@ -32,31 +34,3 @@ class LameParams:
     def trace_factor(self, n: int) -> float:
         """The modulus 2 mu + n lam appearing in the trace coupling."""
         return 2.0 * self.mu + n * self.lam
-
-
-def _check_symmetric(t: np.ndarray, n: int, what: str) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.shape[-2:] != (n, n):
-        raise ValueError(f"{what} must have trailing shape ({n}, {n}), got {t.shape}")
-    tt = np.swapaxes(t, -1, -2)
-    scale = float(np.abs(t).max()) if t.size else 0.0
-    if not np.allclose(t, tt, rtol=1e-10, atol=1e-12 * (1.0 + scale)):
-        raise ValueError(f"{what} must be symmetric")
-    return t
-
-
-def apply_compliance(params: LameParams, n: int, sigma: np.ndarray) -> np.ndarray:
-    """A sigma for one tensor or an array of tensors with trailing shape (n, n)."""
-    sigma = _check_symmetric(sigma, n, "stress tensor")
-    tr = np.trace(sigma, axis1=-2, axis2=-1)
-    eye = np.eye(n)
-    out = sigma - (params.lam / params.trace_factor(n)) * tr[..., None, None] * eye
-    return out / (2.0 * params.mu)
-
-
-def apply_stiffness(params: LameParams, n: int, eps: np.ndarray) -> np.ndarray:
-    """C eps = 2 mu eps + lam tr(eps) I, the inverse of ``apply_compliance``."""
-    eps = _check_symmetric(eps, n, "strain tensor")
-    tr = np.trace(eps, axis1=-2, axis2=-1)
-    eye = np.eye(n)
-    return 2.0 * params.mu * eps + params.lam * tr[..., None, None] * eye

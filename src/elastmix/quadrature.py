@@ -1,17 +1,20 @@
-"""Tensor Gauss-Legendre rules on [0, 1]^d and the one integrator of the data and
-error integrals.
+"""Gauss-Legendre rules on [0, 1] and the one integrator of the data and error
+integrals.
 
 ``_cell_moments`` returns, for every cell of a lattice (the cells of the mesh,
 or a face family with nodal axes), the moments of a field against products
 of 1D factors: the element table's integer polynomials or the displacement's
-1 and xi_i.  A separable exact field (``AxisField``) is a short sum of
-products of 1D factors, so each moment is a product of 1D Gauss sums, one
-per axis (sum factorization): O(N q) values per axis, and one outer product
-over the axes per term.  Any other callable is evaluated at every quadrature
-point of ``element_blocks``, the walk over the cells in tensor-product
-blocks; that path is the reference, and the only branch on the field type.
-A tensor Gauss rule is the product of its 1D rules, so both paths give the
-same moments up to rounding.
+1 and xi_i.  The rule on a cell is the product of one 1D rule per axis, so
+the lattice is described once, axis by axis: the nodes and weights, the
+coordinates of every cell's nodes and the weighted factors w * p(nodes).  A
+separable exact field (``AxisField``) is a short sum of products of 1D
+factors, so each moment is a product of 1D Gauss sums, one per axis (sum
+factorization): O(N q) values per axis, and one outer product over the axes
+per term.  Any other callable, such as a field wrapped to be traced, is
+evaluated at every point of a slab of cells, broadcast from the same axis
+coordinates and weighted by outer products of the same weighted factors;
+that is the only branch on the field type.  Both give the same moments up to
+rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .element import _eval_factors
+from .element import _ONE, _eval_factors
 from .grid import TensorGrid
 from .manufactured import AxisField
 
@@ -40,42 +43,16 @@ def gauss_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@lru_cache(maxsize=None)
-def tensor_rule(npts: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product rule on [0, 1]^dim; weights sum to 1.
-
-    Points have shape (npts**dim, dim) with axis 0 varying fastest, the
-    node order of every cell in ``element_blocks``.  dim == 0 yields the
-    single-point rule with weight 1, so averages over the vertices of a 2D
-    grid degenerate to point values.
-    """
-    if dim < 0:
-        raise ValueError(f"dim must be nonnegative, got {dim}")
-    if dim == 0:
-        pts = np.zeros((1, 0))
-        wts = np.ones(1)
-    else:
-        nodes, weights = gauss_01(npts)
-        axes = np.meshgrid(*([nodes] * dim), indexing="ij")
-        pts = np.stack([a.reshape(-1, order="F") for a in axes], axis=-1)
-        wts = np.ones(npts**dim)
-        for a in np.meshgrid(*([weights] * dim), indexing="ij"):
-            wts = wts * a.reshape(-1, order="F")
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return pts, wts
-
-
 # Gauss points per axis of the one rule behind the load (and projection)
 # moments, the interpolation averages and the error norms.  It is exact to
 # degree 9, so the polynomial solution's integrands (degree <= 4 per axis)
 # carry no quadrature error; sine rates match those of 2, 3 and 8 points.
 QUAD_POINTS = 5
 
-# Values per block of the element-wise loops: quadrature points of a block of
-# ``element_blocks`` (4096 cells of the 2D rule), moments of a slab of
-# ``_cell_moments``.  A block's temporaries then take a few MiB whatever the
-# mesh size and dimension, and a block is still large enough that the
+# Values per slab of the element-wise loops: moments of a slab of
+# ``_cell_moments``, or field points of a slab of a plain callable (4096
+# cells of the 2D rule).  A slab's temporaries then take a few MiB whatever
+# the mesh size and dimension, and a slab is still large enough that the
 # vectorized evaluators spend their time on arithmetic, not call overhead.
 BLOCK_POINTS = 4096 * QUAD_POINTS**2
 
@@ -116,49 +93,12 @@ def _walk(dims: Sequence[int], cells: int) -> Iterator[tuple[slice, tuple[slice,
             )
 
 
-def _lattice(grid: TensorGrid, nodal: Sequence[int] | None):
-    """The cell counts of a lattice and each axis's reference nodes and weights.
-
-    A nodal axis has one node, the lower corner of the cell, with weight 1.
-    """
-    nodal = (0,) * grid.dim if nodal is None else tuple(nodal)
-    dims = tuple(n + c for n, c in zip(grid.subdivisions, nodal))
-    rules = [(np.zeros(1), np.ones(1)) if c else gauss_01(QUAD_POINTS) for c in nodal]
-    return nodal, dims, rules
-
-
-def element_blocks(
-    grid: TensorGrid, nodal: Sequence[int] | None = None
-) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
-    """Walk the cells of a lattice in tensor-product blocks of BLOCK_POINTS points at most.
-
-    The lattice has N_k + nodal[k] cells along axis k (default: the grid's
-    elements); cell m is the box with lower corner lo + m * h and the grid's
-    spacing h.  Face and subface families are such lattices with nodal axes.
-    A cell's nodes are the QUAD_POINTS Gauss nodes along each free axis and
-    its lower corner along each nodal axis, ordered as the points of
-    ``tensor_rule(QUAD_POINTS, free axes)``.
-
-    Blocks are the boxes of ``_walk``.  Yields the slice of flat cell indices
-    and the per-axis physical coordinates of the block: axis k holds c_k
-    cells by q_k nodes, placed at positions n-1-k and 2n-1-k of 2n
-    broadcasting axes.  A formula over them broadcasts to the block's points
-    in the order (cell, node) with axis 0 fastest in both.
-    """
-    dim = grid.dim
-    _, dims, rules = _lattice(grid, nodal)
-    lo, h = grid.lo, grid.spacing
-    tables = []  # the coordinates of every cell and node along each axis
-    for k, (nodes, _) in enumerate(rules):
-        shape = [1] * (2 * dim)
-        shape[dim - 1 - k], shape[2 * dim - 1 - k] = dims[k], len(nodes)
-        table = (lo[k] + np.arange(dims[k]) * h[k])[:, None] + nodes[None, :] * h[k]
-        tables.append(table.reshape(shape))
-    cells = max(1, BLOCK_POINTS // math.prod(len(nodes) for nodes, _ in rules))
-    for block, ranges in _walk(dims, cells):
-        yield block, tuple(
-            table[(slice(None),) * (dim - 1 - k) + (ranges[k],)] for k, table in enumerate(tables)
-        )
+def _outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The outer product of one vector per axis, flattened with axis 0 fastest."""
+    out = vectors[-1]
+    for v in vectors[-2::-1]:
+        out = np.multiply.outer(out, v)
+    return out.ravel()
 
 
 def _cell_moments(
@@ -170,34 +110,61 @@ def _cell_moments(
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray | None]]:
     """Moments of ``field`` against ``functions`` on every cell of a lattice.
 
-    The lattice is that of ``element_blocks``.  The moment of a function
-    sum_t scale_t * e_{key_t} * prod_k p_tk(xi_k) on a cell is the mean over
-    the cell (reference coordinates xi, weights summing to 1) of
+    The lattice has N_k + nodal[k] cells along axis k (default: the grid's
+    elements); cell m is the box with lower corner lo + m * h and the grid's
+    spacing h.  Face and subface families are such lattices with nodal axes.
+    The moment of a function sum_t scale_t * e_{key_t} * prod_k p_tk(xi_k) on
+    a cell is the mean over the cell (reference coordinates xi, QUAD_POINTS
+    Gauss nodes per axis, weights summing to 1) of
     sum_t scale_t * field[key_t] * prod_k p_tk(xi_k); along a nodal axis the
     field and the factors are taken at the cell's lower corner (xi_k = 0).
-    Yields, slab by slab in flat order, the slice of cells, their moments
-    (cells, len(functions)) and, with ``squares``, the mean of the squared
-    field summed over all its components (cells,).
+    Yields, slab by slab of ``_walk`` in flat order, the slice of cells,
+    their moments (cells, len(functions)) and, with ``squares``, the mean of
+    the squared field summed over all its components (cells,).
     """
-    nodal, dims, rules = _lattice(grid, nodal)
+    dim = grid.dim
+    nodal = (0,) * dim if nodal is None else tuple(nodal)
+    dims = tuple(n + c for n, c in zip(grid.subdivisions, nodal))
+    rules = [(np.zeros(1), np.ones(1)) if c else gauss_01(QUAD_POINTS) for c in nodal]
+    lo, h = grid.lo, grid.spacing
+    # the coordinates of every cell's nodes along each axis, (dims_k, q_k)
+    coordinates = [
+        (lo[k] + np.arange(dims[k]) * h[k])[:, None] + nodes[None, :] * h[k]
+        for k, (nodes, _) in enumerate(rules)
+    ]
+    # w * p(nodes) for every axis k and 1D factor p the functions use, and p = 1
+    axis_factors = {(k, p) for terms in functions for *_, f in terms for k, p in enumerate(f)}
+    axis_factors |= {(k, _ONE) for k in range(dim)}
+    weighted = {
+        (k, p): rules[k][1] * _eval_factors((p,), rules[k][0][:, None]) for k, p in axis_factors
+    }
     if isinstance(field, AxisField):
-        yield from _separable_moments(grid, field, functions, dims, rules, squares)
+        yield from _separable_moments(field, functions, dims, coordinates, weighted, squares)
         return
-    free = [k for k in range(grid.dim) if not nodal[k]]
-    pts, w = tensor_rule(QUAD_POINTS, len(free))
-    xi = np.zeros((len(w), grid.dim))
-    xi[:, free] = pts
     # per field component: the functions it enters and their weighted factors
+    # at the points of a cell, axis 0 fastest
     columns: dict[tuple, dict[int, np.ndarray]] = {}
     for b, terms in enumerate(functions):
         for key, scale, factors in terms:
             column = columns.setdefault(np.index_exp[key], {})
-            column[b] = column.get(b, 0.0) + scale * w * _eval_factors(factors, xi)
+            column[b] = column.get(b, 0.0) + scale * _outer(
+                [weighted[k, p] for k, p in enumerate(factors)]
+            )
     weights = [(key, list(c), np.stack(list(c.values()), axis=1)) for key, c in columns.items()]
-    for block, axes in element_blocks(grid, nodal):
-        points = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, grid.dim)
+    w = _outer([weighted[k, _ONE] for k in range(dim)])
+    for block, ranges in _walk(dims, max(1, BLOCK_POINTS // w.size)):
+        # axis k's coordinates at positions dim-1-k (cells) and 2 dim-1-k
+        # (nodes) of 2 dim broadcasting axes: the points in the order (cell,
+        # node), axis 0 fastest in both
+        axes = []
+        for k, table in enumerate(coordinates):
+            part = table[ranges[k]]
+            shape = [1] * (2 * dim)
+            shape[dim - 1 - k], shape[2 * dim - 1 - k] = part.shape
+            axes.append(part.reshape(shape))
+        points = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, dim)
         values = np.asarray(field(points))
-        values = values.reshape((block.stop - block.start, len(w)) + values.shape[1:])
+        values = values.reshape((block.stop - block.start, w.size) + values.shape[1:])
         moments = np.zeros((values.shape[0], len(functions)))
         for key, used, weight in weights:
             moments[:, used] += values[(slice(None), slice(None)) + key] @ weight
@@ -207,15 +174,7 @@ def _cell_moments(
         yield block, moments, total
 
 
-def _outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """The outer product of one vector per axis, flattened with axis 0 fastest."""
-    out = vectors[-1]
-    for v in vectors[-2::-1]:
-        out = np.multiply.outer(out, v)
-    return out.ravel()
-
-
-def _separable_moments(grid, field, functions, dims, rules, squares):
+def _separable_moments(field, functions, dims, coordinates, weighted, squares):
     """``_cell_moments`` of an ``AxisField``: products of 1D Gauss sums per term.
 
     Per axis k and cell m, the 1D sums are sum_q w_q phi^(o)(x_mq) p(xi_q) for
@@ -225,29 +184,25 @@ def _separable_moments(grid, field, functions, dims, rules, squares):
     moment on a slab is the same combination of outer products of the 1D
     sums restricted to the slab's index ranges.
     """
-    lo, h = grid.lo, grid.spacing
     values: dict[tuple[int, int], np.ndarray] = {}  # (axis, order) -> (dims_k, q_k)
     moments_1d: dict[tuple, np.ndarray] = {}
     squares_1d: dict[tuple, np.ndarray] = {}
 
     def factor(k: int, order: int) -> np.ndarray:
         if (k, order) not in values:
-            nodes, _ = rules[k]
-            x = (lo[k] + np.arange(dims[k]) * h[k])[:, None] + nodes[None, :] * h[k]
-            values[k, order] = field.factors[order](x)
+            values[k, order] = field.factors[order](coordinates[k])
         return values[k, order]
 
     def moment(k: int, order: int, p: tuple[int, ...]) -> np.ndarray:
         key = (k, order, p)
         if key not in moments_1d:
-            nodes, w = rules[k]
-            moments_1d[key] = factor(k, order) @ (w * _eval_factors((p,), nodes[:, None]))
+            moments_1d[key] = factor(k, order) @ weighted[k, p]
         return moments_1d[key]
 
     def square(k: int, a: int, b: int) -> np.ndarray:
         key = (k, min(a, b), max(a, b))
         if key not in squares_1d:
-            squares_1d[key] = (factor(k, a) * factor(k, b)) @ rules[k][1]
+            squares_1d[key] = (factor(k, a) * factor(k, b)) @ weighted[k, _ONE]
         return squares_1d[key]
 
     combinations = {}  # component -> {orders: coefficient}

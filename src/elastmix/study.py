@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .assembly import assemble, assemble_load, build_dof_map
-from .grid import TensorGrid, unit_grid
+from .grid import TensorGrid, as_count, unit_grid
 from .interpolate import interp_stress, project_displacement
 from .manufactured import solution_by_name
 from .material import LameParams
@@ -69,7 +69,9 @@ class StudyConfig:
     solver_tol: float = 1e-11
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
+        object.__setattr__(self, "dim", as_count(self.dim, "dimension"))
+        object.__setattr__(self, "levels", tuple(as_count(n, "level") for n in self.levels))
+        object.__setattr__(self, "probe_budget", as_count(self.probe_budget, "probe budget"))
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if not self.levels:

@@ -1,38 +1,134 @@
 """Random polynomial tensor fields with analytic derivatives, used as oracles,
-the meshes that exercise partial element blocks, one-cell grids, the full
-saddle matrix, the triplet scatter of local matrices (the oracle of the
-assembly), the global Grams and displacement mass, dense stability probes,
-pointwise error norms, the divergence of discrete stresses and the local
-matrices by Gauss quadrature."""
+the meshes that exercise partial slabs, one-cell grids, the full saddle
+matrix, the triplet scatter of local matrices (the oracle of the assembly),
+the global Grams and displacement mass, dense stability probes, pointwise
+error norms, the divergence of discrete stresses and the local matrices by
+Gauss quadrature.
+
+The pointwise side of the element lives here too, as oracles that share no
+code with the integrals they check: tensor Gauss rules, the cells' lower
+corners, the stress and displacement bases evaluated with ``np.polynomial``
+from the element table, the values of discrete fields at reference points,
+and the compliance and stiffness applied to tensors."""
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from elastmix.assembly import assemble, build_dof_map
-from elastmix.element import (
-    disp_mass,
-    div_map,
-    element_table,
-    eval_disp_basis,
-    eval_stress_basis,
-    stress_l2_gram,
-)
+from elastmix.element import disp_mass, div_map, element_table, stress_l2_gram
 from elastmix.grid import TensorGrid
 from elastmix.interpolate import DisplacementField, StressField, interp_stress
-from elastmix.material import apply_compliance
-from elastmix.quadrature import QUAD_POINTS, element_blocks, tensor_rule
+from elastmix.quadrature import BLOCK_POINTS, QUAD_POINTS, _walk
 
 
 def partial_block_grid(dim):
-    """Anisotropic box (2D N=70, 3D N=17) whose cells take several blocks of
-    the volume walk, the last of them partial."""
+    """Anisotropic box (2D N=70, 3D N=17) whose cells take several slabs of
+    the point walk of a plain callable, the last of them partial."""
     n = {2: 70, 3: 17}[dim]
     box = ((0.0, 1.0), (-0.5, 2.0), (0.25, 0.75))[:dim]
     grid = TensorGrid(dim, box, (n,) * dim)
-    sizes = [block.stop - block.start for block, _ in element_blocks(grid)]
+    slab = BLOCK_POINTS // QUAD_POINTS**dim
+    sizes = [block.stop - block.start for block, _ in _walk(grid.subdivisions, slab)]
     assert len(sizes) > 1 and sizes[-1] < sizes[0]
     return grid
+
+
+# -- points, bases and tensors -------------------------------------------------
+
+
+def multi_index_array(dims):
+    """All multi-indices over ``dims``, shape (prod(dims), len(dims)), axis 0 fastest."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    axes = np.meshgrid(*[np.arange(d, dtype=np.int64) for d in dims], indexing="ij")
+    return np.stack([a.reshape(-1, order="F") for a in axes], axis=-1)
+
+
+def tensor_rule(npts, dim):
+    """Tensor Gauss-Legendre rule on [0, 1]^dim: points (npts**dim, dim), axis 0
+    fastest, and weights summing to 1; dim == 0 is the one point of weight 1."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    index = multi_index_array((npts,) * dim)
+    return 0.5 * (x[index] + 1.0), (0.5 * w[index]).prod(axis=1)
+
+
+def element_origins(grid):
+    """Lower corners of all cells in flat order, shape (n_elements, dim)."""
+    return grid.lo + multi_index_array(grid.subdivisions) * grid.spacing
+
+
+def _product(factors, xi, derived=None):
+    """The product over the axes of the integer 1D factors at ``xi``, the one
+    on axis ``derived`` differentiated."""
+    value = np.ones(xi.shape[0])
+    for k, p in enumerate(factors):
+        factor = np.polynomial.Polynomial(p)
+        value *= (factor.deriv() if k == derived else factor)(xi[:, k])
+    return value
+
+
+def eval_stress_basis(dim, xi):
+    """Shape-function tensors at reference points ``xi``, shape (nfun, npts, dim,
+    dim): each DOF's product of 1D factors in its entry and the transposed one."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    table = element_table(dim)
+    out = np.zeros((len(table), xi.shape[0], dim, dim))
+    for a, dof in enumerate(table):
+        i, j = dof.entry
+        out[a, :, i, j] = out[a, :, j, i] = _product(dof.factors, xi)
+    return out
+
+
+def eval_disp_basis(dim, xi):
+    """Displacement basis vectors at reference points, shape (2 dim, npts, dim):
+    function b is component b // 2 times xi^(b % 2) of that component's axis."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    out = np.zeros((2 * dim, xi.shape[0], dim))
+    for i in range(dim):
+        out[2 * i, :, i] = 1.0
+        out[2 * i + 1, :, i] = xi[:, i]
+    return out
+
+
+def eval_elements(field, xi, elements=slice(None)):
+    """Values of a discrete field at reference points ``xi`` on a slice of the
+    flat cell order: (ne, m, dim, dim) for a StressField, (ne, m, dim) for a
+    DisplacementField."""
+    dofs = field.dofs
+    if isinstance(field, StressField):
+        basis, local = eval_stress_basis(dofs.grid.dim, xi), dofs.element_stress
+    else:
+        basis, local = eval_disp_basis(dofs.grid.dim, xi), dofs.element_disp
+    return np.tensordot(field.coeffs[local[elements]], basis, axes=1)
+
+
+def _check_symmetric(t, n, what):
+    t = np.asarray(t, dtype=float)
+    if t.shape[-2:] != (n, n):
+        raise ValueError(f"{what} must have trailing shape ({n}, {n}), got {t.shape}")
+    tt = np.swapaxes(t, -1, -2)
+    scale = float(np.abs(t).max()) if t.size else 0.0
+    if not np.allclose(t, tt, rtol=1e-10, atol=1e-12 * (1.0 + scale)):
+        raise ValueError(f"{what} must be symmetric")
+    return t
+
+
+def apply_compliance(params, n, sigma):
+    """A sigma = (sigma - lam / (2 mu + n lam) tr(sigma) I) / (2 mu), for one
+    tensor or an array of tensors with trailing shape (n, n)."""
+    sigma = _check_symmetric(sigma, n, "stress tensor")
+    tr = np.trace(sigma, axis1=-2, axis2=-1)
+    out = sigma - (params.lam / params.trace_factor(n)) * tr[..., None, None] * np.eye(n)
+    return out / (2.0 * params.mu)
+
+
+def apply_stiffness(params, n, eps):
+    """C eps = 2 mu eps + lam tr(eps) I, the inverse of ``apply_compliance``."""
+    eps = _check_symmetric(eps, n, "strain tensor")
+    tr = np.trace(eps, axis1=-2, axis2=-1)
+    return 2.0 * params.mu * eps + params.lam * tr[..., None, None] * np.eye(n)
 
 
 def one_cell(box):
@@ -71,24 +167,27 @@ def local_field(coeffs, box):
         return (np.atleast_2d(x) - grid.lo) / grid.spacing
 
     return (
-        lambda x: field.eval_elements(xi(x))[0],
-        lambda x: div.eval_elements(xi(x))[0],
+        lambda x: eval_elements(field, xi(x))[0],
+        lambda x: eval_elements(div, xi(x))[0],
     )
 
 
 def pointwise_error_norms(grid, exact, sigma_h, u_h):
     """(sigma_l2, sigma_div, u_l2) by the tensor Gauss rule of QUAD_POINTS per
-    axis at every quadrature point, block by block: the oracle of error_norms."""
+    axis at every quadrature point, 4096 cells at a time: the oracle of
+    error_norms."""
     dim = grid.dim
     pts, w = tensor_rule(QUAD_POINTS, dim)
     sums = np.zeros(3)
     div_h = divergence(sigma_h)
-    for block, axes in element_blocks(grid):
-        x = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, dim)
+    origins = element_origins(grid)
+    for start in range(0, grid.n_elements, 4096):
+        block = slice(start, min(start + 4096, grid.n_elements))
+        x = (origins[block, None, :] + pts * grid.spacing).reshape(-1, dim)
         cells = (block.stop - block.start, len(w))
-        sig = exact.sigma(x).reshape(cells + (dim, dim)) - sigma_h.eval_elements(pts, block)
-        div = exact.f(x).reshape(cells + (dim,)) - div_h.eval_elements(pts, block)
-        u = exact.u(x).reshape(cells + (dim,)) - u_h.eval_elements(pts, block)
+        sig = exact.sigma(x).reshape(cells + (dim, dim)) - eval_elements(sigma_h, pts, block)
+        div = exact.f(x).reshape(cells + (dim,)) - eval_elements(div_h, pts, block)
+        u = exact.u(x).reshape(cells + (dim,)) - eval_elements(u_h, pts, block)
         sums += [
             np.einsum("eqij,eqij,q->", sig, sig, w),
             np.einsum("eqi,eqi,q->", div, div, w),
@@ -254,11 +353,7 @@ def eval_stress_basis_div(dim, xi, spacing):
         # s_ij adds d/dx_j to component i of the divergence, and s_ji (the
         # same function when i != j) d/dx_i to component j
         for r, s in {(i, j), (j, i)}:
-            value = np.ones(xi.shape[0])
-            for k, p in enumerate(dof.factors):
-                factor = np.polynomial.Polynomial(p)
-                value *= (factor.deriv() if k == s else factor)(xi[:, k])
-            out[a, :, r] += value / h[s]
+            out[a, :, r] += _product(dof.factors, xi, derived=s) / h[s]
     return out
 
 

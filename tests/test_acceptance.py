@@ -8,22 +8,25 @@ import numpy as np
 import pytest
 
 from elastmix.assembly import assemble, assemble_load, build_dof_map
-from elastmix.element import disp_mass, element_table, eval_disp_basis
+from elastmix.element import disp_mass, element_table
 from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import interp_stress
 from elastmix.material import LameParams
-from elastmix.quadrature import tensor_rule
 from elastmix.solver import solve
 from elastmix.study import StudyConfig, run_level, run_study
 from elastmix.verify import fit_rate, infsup_probe, kernel_ellipticity_probe
 from poly_utils import (
     PolyTensorField,
+    element_origins,
+    eval_disp_basis,
+    eval_elements,
     eval_stress_basis_div,
     full_matrix,
     local_dofs,
     local_field,
     random_box,
     random_spacing,
+    tensor_rule,
 )
 
 MAT = LameParams(mu=0.5, lam=1.0)
@@ -165,9 +168,9 @@ def test_criterion_4_global_reproduction():
 
     interp = interp_stress(grid, dofs, field)
     pts, _ = tensor_rule(4, 2)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    x = element_origins(grid)[:, None, :] + pts[None, :, :] * grid.spacing
     exact = field(x.reshape(-1, 2)).reshape(x.shape[0], -1, 2, 2)
-    gap = float(np.abs(interp.eval_elements(pts) - exact).max())
+    gap = float(np.abs(eval_elements(interp, pts) - exact).max())
     elapsed = time.perf_counter() - start
     _report(
         "criterion 4 (interpolation reproduces the discrete space on a 4x4 grid)",

@@ -6,28 +6,27 @@ import scipy.sparse as sp
 
 import elastmix.assembly
 from elastmix.assembly import assemble, assemble_load, build_dof_map
-from elastmix.element import (
-    element_table,
-    eval_disp_basis,
-    local_compliance_matrix,
-    local_div_matrix,
-)
-from elastmix.grid import TensorGrid, flat_strides, multi_index_array, unit_grid
+from elastmix.element import element_table, local_compliance_matrix, local_div_matrix
+from elastmix.grid import TensorGrid, flat_strides, unit_grid
 from elastmix.interpolate import DisplacementField, StressField, interp_stress
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
-from elastmix.quadrature import tensor_rule
 from elastmix.verify import superclose_norms
 from poly_utils import (
+    element_origins,
+    eval_disp_basis,
+    eval_elements,
     eval_stress_basis_div,
     grams_and_mass,
     kernel_basis,
+    multi_index_array,
     partial_block_grid,
     quadrature_compliance_matrix,
     quadrature_disp_mass,
     quadrature_div_matrix,
     quadrature_l2_gram,
     scatter,
+    tensor_rule,
 )
 
 MAT = LameParams(mu=0.5, lam=1.0)
@@ -146,7 +145,7 @@ def _assert_normal_traces_continuous(grid, seed):
     dofs = build_dof_map(grid)
     field = StressField(dofs, np.random.default_rng(seed).standard_normal(dofs.n_stress))
     pts, _ = tensor_rule(3, dim - 1)
-    multi = grid.element_multi_array()
+    multi = multi_index_array(grid.subdivisions)
     stride = 1
     for axis in range(dim):
         others = [k for k in range(dim) if k != axis]
@@ -155,8 +154,8 @@ def _assert_normal_traces_continuous(grid, seed):
         upper = lower.copy()
         upper[:, axis] = 1.0
         cells = np.nonzero(multi[:, axis] < grid.subdivisions[axis] - 1)[0]
-        trace_l = field.eval_elements(upper)[cells, :, :, axis]
-        trace_r = field.eval_elements(lower)[cells + stride, :, :, axis]
+        trace_l = eval_elements(field, upper)[cells, :, :, axis]
+        trace_r = eval_elements(field, lower)[cells + stride, :, :, axis]
         assert cells.size > 0
         assert np.abs(trace_l - trace_r).max() <= 1e-12
         stride *= grid.subdivisions[axis]
@@ -203,9 +202,9 @@ def test_anisotropic_subdivisions_full_pipeline():
 
     interp = interp_stress(grid, dofs, discrete_field)
     pts, _ = tensor_rule(3, 2)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    x = element_origins(grid)[:, None, :] + pts[None, :, :] * grid.spacing
     expected = discrete_field(x.reshape(-1, 2)).reshape(x.shape[0], -1, 2, 2)
-    assert np.abs(interp.eval_elements(pts) - expected).max() <= 1e-13
+    assert np.abs(eval_elements(interp, pts) - expected).max() <= 1e-13
 
 
 def test_kernel_fields_divergence_free_pointwise():
@@ -256,7 +255,7 @@ def test_blocked_load_matches_whole_array(dim):
     dofs = build_dof_map(grid)
     f = sine_solution(dim, MAT).f
     pts, w = tensor_rule(5, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    x = element_origins(grid)[:, None, :] + pts[None, :, :] * grid.spacing
     fx = f(x.reshape(-1, dim)).reshape(x.shape)
     local = grid.element_volume * np.einsum("eqi,bqi,q->eb", fx, eval_disp_basis(dim, pts), w)
     expected = np.zeros(dofs.n_disp)

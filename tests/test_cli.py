@@ -86,11 +86,12 @@ def test_four_levels_drop_coarsest_from_fit(tmp_path):
 
 def test_probe_columns(tmp_path):
     out = tmp_path / "probe.csv"
-    result = run_study(
-        StudyConfig(
-            dim=2, levels=(2, 4), solution="sine", output=str(out), probe_infsup=True
+    with pytest.warns(UserWarning, match="need 3 for a rate fit"):
+        result = run_study(
+            StudyConfig(
+                dim=2, levels=(2, 4), solution="sine", output=str(out), probe_infsup=True
+            )
         )
-    )
     rows = _read_csv(out)
     assert rows[0][-2:] == ["beta_h", "alpha_kernel"]
     betas = [float(r[-2]) for r in rows[1:3]]
@@ -127,18 +128,40 @@ def test_cli_main_success(tmp_path, capsys):
     assert out.exists()
 
 
+# The CLI prints each warning through its own hook, as one stderr line; the
+# tests that run it let the warning reach that hook and assert the line.
+CLI_WARNINGS = pytest.mark.filterwarnings("always::UserWarning")
+RATE_WARNING = "elastmix: warning: only {} level(s); need 3 for a rate fit\n"
+
+
+@CLI_WARNINGS
 def test_cli_prints_each_warning_on_one_line(tmp_path, capsys):
     # like the CLI's other messages, and with the hook put back afterwards
     hook = warnings.showwarning
     out = tmp_path / "two.csv"
     assert main(["--levels", "2,4", "--output", str(out)]) == 0
-    assert capsys.readouterr().err == "elastmix: warning: only 2 level(s); need 3 for a rate fit\n"
+    assert capsys.readouterr().err == RATE_WARNING.format(2)
     assert warnings.showwarning is hook
     # only the format changes: a filter that makes the warning an error still does
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
         with pytest.raises(UserWarning, match="need 3 for a rate fit"):
             main(["--levels", "2,4", "--output", str(out)])
+
+
+def test_study_sizes_must_be_integers(tmp_path):
+    # levels, dimension and probe budget are rejected, not truncated (a NaN
+    # budget would skip every probe), and the message names the value given
+    out = str(tmp_path / "study.csv")
+    for kwargs, name in (
+        ({"levels": (4, 8.9)}, "8.9"), ({"levels": (4.2, 4.9)}, "4.2"), ({"dim": 2.5}, "2.5"),
+        ({"probe_budget": 2.5}, "2.5"), ({"probe_budget": float("nan")}, "nan"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            StudyConfig(output=out, **kwargs)
+    config = StudyConfig(dim=np.int64(3), levels=np.array([2, 4]), output=out)
+    assert config.dim == 3 and config.levels == (2, 4)
+    assert type(config.dim) is int and all(type(n) is int for n in config.levels)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -267,12 +290,14 @@ def test_config_file_roundtrip(tmp_path):
     }
 
 
+@CLI_WARNINGS
 def test_cli_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     out = tmp_path / "override.csv"
     cfg.write_text(f"levels = 2\nsolution = sine\noutput = {out}\n")
     code = main(["--config", str(cfg), "--solution", "polynomial", "--levels", "2,4"])
     assert code == 0
+    assert capsys.readouterr().err == RATE_WARNING.format(2)
     rows = _read_csv(out)
     assert len(rows) == 3  # two levels, no rate row
 
@@ -320,9 +345,11 @@ def test_module_entry_point():
     assert "--levels" in proc.stdout
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
+@CLI_WARNINGS
+def test_thread_cap_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ELASTMIX_THREADS", "1")
     out = tmp_path / "threads.csv"
     code = main(["--levels", "2", "--solution", "polynomial", "--output", str(out)])
     assert code == 0
+    assert capsys.readouterr().err == RATE_WARNING.format(1)
     assert os.environ["OMP_NUM_THREADS"] == "1"

@@ -5,15 +5,14 @@ from elastmix.element import (
     disp_mass,
     div_map,
     element_table,
-    eval_disp_basis,
-    eval_stress_basis,
     local_compliance_matrix,
     local_div_matrix,
     stress_l2_gram,
 )
 from elastmix.material import LameParams
-from elastmix.quadrature import tensor_rule
 from poly_utils import (
+    eval_disp_basis,
+    eval_stress_basis,
     eval_stress_basis_div,
     local_dofs,
     local_field,
@@ -24,6 +23,7 @@ from poly_utils import (
     quadrature_l2_gram,
     random_box,
     random_spacing,
+    tensor_rule,
 )
 
 UNIT_SQUARE = (np.zeros(2), np.ones(2))

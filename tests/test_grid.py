@@ -7,6 +7,7 @@ import pytest
 from elastmix.assembly import build_dof_map
 from elastmix.element import element_table
 from elastmix.grid import TensorGrid, flat_strides, unit_grid
+from poly_utils import element_origins, multi_index_array
 
 
 def _local(dim, entry, offset):
@@ -39,7 +40,7 @@ def _adjacent(grid, cell, local):
     dofs = build_dof_map(grid)
     flat = int(np.asarray(cell) @ flat_strides(grid.subdivisions))
     touching = (dofs.element_stress == dofs.element_stress[flat, local]).any(axis=1)
-    return [tuple(int(v) for v in m) for m in grid.element_multi_array()[touching]]
+    return [tuple(int(v) for v in m) for m in multi_index_array(grid.subdivisions)[touching]]
 
 
 def test_entity_counts_2x2():
@@ -84,7 +85,7 @@ def test_anisotropic_counts():
 def test_element_origin_and_spacing():
     g = TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 4))
     assert np.allclose(g.spacing, [0.5, 0.5])
-    lo = g.element_origins()[1 + 2 * 2]  # cell (1, 2)
+    lo = element_origins(g)[1 + 2 * 2]  # cell (1, 2)
     assert np.allclose(lo, [0.5, 1.0])
     assert np.allclose(lo + g.spacing, [1.0, 1.5])
 
@@ -120,7 +121,7 @@ def test_element_face_round_trip(dim, subs):
     # cell along it, and no other cell's face
     g = TensorGrid(dim, ((0.0, 1.0),) * dim, subs)
     stress = build_dof_map(g).element_stress
-    multi = g.element_multi_array()
+    multi = multi_index_array(g.subdivisions)
     strides = flat_strides(subs)
     for axis in range(dim):
         lower = stress[:, _local(dim, (axis, axis), (0,) * dim)]
@@ -140,7 +141,7 @@ def test_boundary_entities_shared_by_fewer_elements():
 
 def test_flat_index_round_trip():
     g = TensorGrid(3, ((0.0, 1.0),) * 3, (2, 3, 4))
-    multis = g.element_multi_array()
+    multis = multi_index_array(g.subdivisions)
     assert np.array_equal(multis @ flat_strides(g.subdivisions), np.arange(g.n_elements))
 
 
@@ -159,3 +160,28 @@ def test_construction_errors():
     g = TensorGrid(2, [[0, 1], [0, 2]], [2, 4])
     assert g == TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 4))
     assert hash(g) == hash(TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 4)))
+
+
+
+@pytest.mark.parametrize(
+    "dim, subdivisions, shown",
+    [(2, (2.5, 3), "2.5"), (2.0, (2, 3), "2.0"), (2, (2, 3.0), "3.0"), (2, ("2", 3), "'2'")],
+    ids=["fraction", "whole-float-dim", "whole-float-count", "string"],
+)
+def test_non_integral_sizes_rejected(dim, subdivisions, shown):
+    # a fractional size is rejected, not truncated, and a whole float is not
+    # an integer either; the message names the value given
+    with pytest.raises(ValueError, match=shown):
+        TensorGrid(dim, ((0.0, 1.0), (0.0, 2.0)), subdivisions)
+
+
+def test_unit_grid_rejects_a_fractional_count():
+    with pytest.raises(ValueError, match="2.7"):
+        unit_grid(2, 2.7)
+
+
+def test_numpy_integer_sizes_pass_as_ints():
+    box = ((0.0, 1.0), (0.0, 2.0))
+    g = TensorGrid(np.int64(2), box, (np.int32(2), np.uint8(3)))
+    assert g == TensorGrid(2, box, (2, 3)) and type(g.dim) is int
+    assert all(type(n) is int for n in g.subdivisions)

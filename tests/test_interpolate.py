@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from elastmix.assembly import build_dof_map
-from elastmix.element import eval_disp_basis
-from elastmix.grid import TensorGrid, flat_strides, multi_index_array, unit_grid
+from elastmix.grid import TensorGrid, flat_strides, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
     StressField,
@@ -14,9 +13,19 @@ from elastmix.interpolate import (
 )
 from elastmix.manufactured import sine_solution
 from elastmix.material import LameParams
-from elastmix.quadrature import tensor_rule
 from elastmix.verify import error_norms, fit_rate
-from poly_utils import PolyTensorField, local_dofs, local_field, partial_block_grid, random_box
+from poly_utils import (
+    PolyTensorField,
+    element_origins,
+    eval_disp_basis,
+    eval_elements,
+    local_dofs,
+    local_field,
+    multi_index_array,
+    partial_block_grid,
+    random_box,
+    tensor_rule,
+)
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -52,9 +61,9 @@ def test_global_reproduction_of_discrete_fields(dim):
     field = _global_q2q1_field(dim)
     interp = interp_stress(grid, dofs, field)
     pts, _ = tensor_rule(3, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    x = element_origins(grid)[:, None, :] + pts[None, :, :] * grid.spacing
     exact = field(x.reshape(-1, dim)).reshape(x.shape[0], -1, dim, dim)
-    assert np.abs(interp.eval_elements(pts) - exact).max() <= 1e-12
+    assert np.abs(eval_elements(interp, pts) - exact).max() <= 1e-12
 
 
 def test_single_element_transverse_average():
@@ -70,7 +79,7 @@ def test_single_element_transverse_average():
 
     interp = interp_stress(grid, dofs, field)
     pts = np.random.default_rng(0).uniform(0, 1, size=(17, 2))
-    vals = interp.eval_elements(pts)[0]
+    vals = eval_elements(interp, pts)[0]
     assert np.allclose(vals[:, 0, 0], 0.5, atol=1e-14)
     assert np.abs(vals[:, 0, 1]).max() <= 1e-14
 
@@ -87,8 +96,8 @@ def test_vertex_values_reproduce_bilinear_shear():
 
     interp = interp_stress(grid, dofs, field)
     pts, _ = tensor_rule(2, 2)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
-    vals = interp.eval_elements(pts)
+    x = element_origins(grid)[:, None, :] + pts[None, :, :] * grid.spacing
+    vals = eval_elements(interp, pts)
     expected = x[:, :, 0] * x[:, :, 1]
     assert np.abs(vals[:, :, 0, 1] - expected).max() <= 1e-14
 
@@ -234,7 +243,7 @@ def _whole_array_projection(grid, dofs, u, npts=5):
     """project_displacement with all elements in one array and a 2x2 solve."""
     dim = grid.dim
     pts, w = tensor_rule(npts, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    x = element_origins(grid)[:, None, :] + pts[None, :, :] * grid.spacing
     vals = u(x.reshape(-1, dim)).reshape(x.shape)
     moments = np.stack(
         [np.einsum("eqi,q->ei", vals, w), np.einsum("eqi,qi,q->ei", vals, pts, w)], axis=-1
@@ -243,33 +252,6 @@ def _whole_array_projection(grid, dofs, u, npts=5):
     coeffs = np.zeros(dofs.n_disp)
     coeffs[dofs.element_disp] = local.reshape(grid.n_elements, 2 * dim)
     return coeffs
-
-
-@pytest.mark.parametrize(
-    "dim, subs", [(2, (7, 5)), (3, (4, 3, 5)), (4, (3, 2, 3, 2))], ids=["2d", "3d", "4d"]
-)
-def test_basis_contractions_match_einsum(dim, subs):
-    from elastmix.element import eval_stress_basis
-
-    rng = np.random.default_rng(dim)
-    grid = TensorGrid(dim, list(zip(*random_box(dim, rng))), subs)
-    dofs = build_dof_map(grid)
-    sigma = StressField(dofs, rng.standard_normal(dofs.n_stress))
-    u = DisplacementField(dofs, rng.standard_normal(dofs.n_disp))
-    xi, _ = tensor_rule(3, dim)
-    cells = slice(1, grid.n_elements - 1)
-    local_sigma = sigma.coeffs[dofs.element_stress[cells]]
-    local_u = u.coeffs[dofs.element_disp[cells]]
-    pairs = [
-        (
-            sigma.eval_elements(xi, cells),
-            np.einsum("el,lmij->emij", local_sigma, eval_stress_basis(dim, xi)),
-        ),
-        (u.eval_elements(xi, cells), np.einsum("el,lmi->emi", local_u, eval_disp_basis(dim, xi))),
-    ]
-    for values, expected in pairs:
-        assert values.shape == expected.shape
-        assert np.abs(values - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

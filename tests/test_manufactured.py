@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from elastmix.material import LameParams, apply_compliance, apply_stiffness
+from elastmix.material import LameParams
 from elastmix.manufactured import (
     polynomial_solution,
     sine_solution,
     solution_by_name,
 )
+from poly_utils import apply_compliance, apply_stiffness
 
 MAT = LameParams(mu=0.5, lam=1.0)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from elastmix.material import LameParams, apply_compliance, apply_stiffness
+from elastmix.material import LameParams
+from poly_utils import apply_compliance, apply_stiffness
 
 
 def _random_symmetric(rng, count, n):

@@ -1,13 +1,13 @@
-"""The tensor-product block walk, per-axis evaluation of separable fields and
-the data integrals as products of 1D Gauss sums."""
+"""The slab walk, per-axis evaluation of separable fields and the data
+integrals as products of 1D Gauss sums."""
 
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from elastmix.assembly import assemble_load, build_dof_map
+from elastmix.element import _ONE
 from elastmix.grid import TensorGrid, unit_grid
 from elastmix.interpolate import (
     DisplacementField,
@@ -23,15 +23,10 @@ from elastmix.manufactured import (
     sine_solution,
 )
 from elastmix.material import LameParams
-from elastmix.quadrature import (
-    BLOCK_POINTS,
-    QUAD_POINTS,
-    element_blocks,
-    tensor_rule,
-)
+from elastmix.quadrature import BLOCK_POINTS, QUAD_POINTS, _cell_moments
 from elastmix.verify import error_norms
 
-from poly_utils import partial_block_grid
+from poly_utils import multi_index_array, partial_block_grid, tensor_rule
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -43,11 +38,14 @@ def _lattices(dim):
     return [(0,) * dim, (1,) + (0,) * (dim - 1), (0,) * (dim - 2) + (1, 1)]
 
 
-def _points(axes):
-    """A block's physical points from its per-axis coordinates, (cells, nodes, dim)."""
-    dim = len(axes)
-    x = np.stack(np.broadcast_arrays(*axes), axis=-1)
-    return x.reshape(int(np.prod(x.shape[:dim])), -1, dim)
+def _reference_points(dim, nodal):
+    """The reference points of a lattice cell, (points, dim): QUAD_POINTS Gauss
+    nodes on each free axis, 0 on each nodal one, axis 0 fastest."""
+    free = [k for k in range(dim) if not nodal[k]]
+    pts, _ = tensor_rule(QUAD_POINTS, len(free))
+    ref = np.zeros((len(pts), dim))
+    ref[:, free] = pts
+    return ref
 
 
 @pytest.mark.parametrize(
@@ -56,32 +54,54 @@ def _points(axes):
     ids=["2d", "2d-long-axis", "3d", "3d-long-axis", "4d", "4d-one-cell-axis"],
 )
 def test_blocks_cover_each_lattice_once_in_flat_order(subdivisions):
+    # a plain callable is called once per slab of cells, on the slab's points
+    # in the order (cell, node); it records them and returns zeros
     dim = len(subdivisions)
     grid = TensorGrid(dim, BOX[:dim], subdivisions)
+    average = [[(0, 1.0, (_ONE,) * dim)]]
     for nodal in _lattices(dim):
         dims = tuple(n + c for n, c in zip(subdivisions, nodal))
-        free = [k for k in range(dim) if not nodal[k]]
-        pts, _ = tensor_rule(QUAD_POINTS, len(free))
-        ref = np.zeros((len(pts), dim))
-        ref[:, free] = pts
+        ref = _reference_points(dim, nodal)
+        calls = []
+
+        def record(x):
+            calls.append(x.copy())
+            return np.zeros((len(x), 1))
+
         stop = 0
         blocks = 0
-        for block, axes in element_blocks(grid, nodal):
+        for block, moments, _ in _cell_moments(grid, record, average, nodal):
             assert block.start == stop and block.stop > block.start
             stop = block.stop
             blocks += 1
-            x = _points(axes)
-            assert x.shape[0] == block.stop - block.start
-            assert x.shape[0] * x.shape[1] <= BLOCK_POINTS
-            # the cells of the slice, in flat order, with the rule's points
-            multi = np.stack(
-                np.unravel_index(np.arange(block.start, block.stop), dims, order="F"), axis=-1
-            )
+            assert len(calls) == blocks  # one call per slab
+            x = calls[-1]
+            assert x.shape[0] == (block.stop - block.start) * len(ref) <= BLOCK_POINTS
+            assert moments.shape == (block.stop - block.start, 1)
+            # the cells of the slice, in flat order, at lo + m h + xi h
+            multi = multi_index_array(dims)[block]
             expected = (grid.lo + multi * grid.spacing)[:, None, :] + ref * grid.spacing
-            assert np.array_equal(x, expected)
+            assert np.array_equal(x.reshape(expected.shape), expected)
         assert stop == np.prod(dims)
-        if dims[0] * len(pts) > BLOCK_POINTS:
+        if dims[0] * len(ref) > BLOCK_POINTS:
             assert blocks > dims[1]  # the first axis alone is split
+
+
+def _lattice_axes(grid, nodal):
+    """The coordinates of a lattice's points along each axis: axis k holds
+    cells by nodes at positions n-1-k and 2n-1-k of 2n broadcasting axes, so
+    a formula over them broadcasts to the points in the order (cell, node),
+    axis 0 fastest in both."""
+    dim = grid.dim
+    gauss = tensor_rule(QUAD_POINTS, 1)[0][:, 0]
+    axes = []
+    for k in range(dim):
+        cells = grid.lo[k] + np.arange(grid.subdivisions[k] + nodal[k]) * grid.spacing[k]
+        nodes = (np.zeros(1) if nodal[k] else gauss) * grid.spacing[k]
+        shape = [1] * (2 * dim)
+        shape[dim - 1 - k], shape[2 * dim - 1 - k] = cells.size, nodes.size
+        axes.append((cells[:, None] + nodes[None, :]).reshape(shape))
+    return axes
 
 
 @pytest.mark.parametrize("factory", [sine_solution, polynomial_solution])
@@ -93,17 +113,17 @@ def test_per_axis_evaluation_matches_points(factory, dim):
     # every field of the solutions takes the per-axis path of the integrals
     assert all(isinstance(field, AxisField) for field in fields.values())
     for nodal in _lattices(dim):
-        for block, axes in element_blocks(grid, nodal):
-            flat = _points(axes).reshape(-1, dim)
-            for name, field in fields.items():
-                values = field.on_axes(axes)
-                expected = field(flat)
-                assert values.shape == tuple(np.broadcast_shapes(*(a.shape for a in axes))) + (
-                    expected.shape[1:]
-                )
-                values = values.reshape(expected.shape)
-                scale = np.abs(expected).max()
-                assert np.abs(values - expected).max() <= 1e-14 * scale, name
+        axes = _lattice_axes(grid, nodal)
+        flat = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, dim)
+        for name, field in fields.items():
+            values = field.on_axes(axes)
+            expected = field(flat)
+            assert values.shape == tuple(np.broadcast_shapes(*(a.shape for a in axes))) + (
+                expected.shape[1:]
+            )
+            values = values.reshape(expected.shape)
+            scale = np.abs(expected).max()
+            assert np.abs(values - expected).max() <= 1e-14 * scale, name
 
 
 def _point_wrapper(exact):
@@ -203,14 +223,12 @@ def test_field_stages_evaluate_phi_per_axis():
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_separable_fields_never_walk_the_points(dim, monkeypatch):
-    # the sum-factorized path takes no block of quadrature points: with the
-    # walk raising, all four field stages of the solution still run
-    def refuse(*args, **kwargs):
-        raise AssertionError("element_blocks called for a separable field")
+    # the sum-factorized path evaluates no field at points: with AxisField's
+    # point evaluation raising, all four field stages of the solution still run
+    def refuse(self, x):
+        raise AssertionError("AxisField evaluated at points")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("elastmix") and hasattr(module, "element_blocks"):
-            monkeypatch.setattr(module, "element_blocks", refuse)
+    monkeypatch.setattr(AxisField, "__call__", refuse)
     grid = TensorGrid(dim, BOX[:dim], (6, 5, 3, 2)[:dim])
     dofs = build_dof_map(grid)
     exact = sine_solution(dim, MAT)
@@ -222,7 +240,7 @@ def test_separable_fields_never_walk_the_points(dim, monkeypatch):
     assert np.isfinite(ph_u.coeffs).all()
     assert 0 < record.sigma_l2 < np.inf and 0 < record.sigma_div < np.inf
     assert 0 < record.u_l2 < np.inf
-    with pytest.raises(AssertionError, match="element_blocks"):
+    with pytest.raises(AssertionError, match="evaluated at points"):
         assemble_load(grid, _point_wrapper(exact).f, dofs)
 
 

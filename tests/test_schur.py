@@ -8,6 +8,7 @@ from elastmix._schur import SchurInverse, StressInverse, component_factors
 from elastmix.assembly import assemble
 from elastmix.grid import TensorGrid
 from elastmix.material import LameParams
+from poly_utils import multi_index_array
 
 # anisotropic boxes with unequal subdivisions, most with an axis of one cell;
 # then boxes whose axes share their 1D factors, so the inverses group them:
@@ -63,7 +64,7 @@ def _assembled_schur(grid, material):
 
 def _kron_form(grid, c, A, C, L):
     """A (x) I + C (x) sum_j L_j in the component's numbering 2 e + m."""
-    multi = np.repeat(grid.element_multi_array(), 2, axis=0)
+    multi = np.repeat(multi_index_array(grid.subdivisions), 2, axis=0)
     pair = 2 * multi[:, c] + np.tile([0, 1], grid.n_elements)
     others = [j for j in range(grid.dim) if j != c]
     same = {j: multi[:, j][:, None] == multi[:, j][None, :] for j in others}

@@ -23,7 +23,13 @@ from elastmix.solver import (
     _saddle_operators,
     solve,
 )
-from poly_utils import eval_stress_basis_div, full_matrix
+from poly_utils import (
+    apply_compliance,
+    eval_elements,
+    eval_stress_basis_div,
+    full_matrix,
+    tensor_rule,
+)
 
 MAT = LameParams(mu=0.5, lam=1.0)
 
@@ -367,8 +373,6 @@ def test_weak_form_consistent_with_pointwise_quadrature():
     # evaluate the two bilinear forms by field evaluation and quadrature,
     # independently of the assembled matrices
     from elastmix.interpolate import DisplacementField, StressField
-    from elastmix.material import apply_compliance
-    from elastmix.quadrature import tensor_rule
 
     grid, dofs, system, load = _assembled(n=2)
     sigma_h, u_h, _ = solve(system, load)
@@ -383,16 +387,16 @@ def test_weak_form_consistent_with_pointwise_quadrature():
     def div_values(field):
         return np.einsum("el,lqi->eqi", field.coeffs[dofs.element_stress], div_basis)
 
-    a_vals = apply_compliance(MAT, 2, sigma_h.eval_elements(pts))
-    form_a = vol * np.einsum("eqij,eqij,q->", a_vals, tau.eval_elements(pts), w)
-    form_div_tau = vol * np.einsum("eqi,eqi,q->", div_values(tau), u_h.eval_elements(pts), w)
+    a_vals = apply_compliance(MAT, 2, eval_elements(sigma_h, pts))
+    form_a = vol * np.einsum("eqij,eqij,q->", a_vals, eval_elements(tau, pts), w)
+    form_div_tau = vol * np.einsum("eqi,eqi,q->", div_values(tau), eval_elements(u_h, pts), w)
     # first equation: (A sigma_h, tau) + (div tau, u_h) = 0
     scale = abs(form_a) + abs(form_div_tau)
     assert abs(form_a + form_div_tau) <= 1e-10 * max(1.0, scale)
     # matrix route agrees with the quadrature route
     assert form_a == pytest.approx(tau.coeffs @ (system.M @ sigma_h.coeffs), rel=1e-11)
     # second equation: (div sigma_h, v) = (f, v)
-    form_div_sigma = vol * np.einsum("eqi,eqi,q->", div_values(sigma_h), v.eval_elements(pts), w)
+    form_div_sigma = vol * np.einsum("eqi,eqi,q->", div_values(sigma_h), eval_elements(v, pts), w)
     assert form_div_sigma == pytest.approx(load @ v.coeffs, rel=1e-10)
 
 
@@ -401,7 +405,6 @@ def test_discrete_divergence_is_projected_load():
     # forces it to equal the L2 projection of f pointwise
     from elastmix.interpolate import project_displacement
     from elastmix.manufactured import sine_solution
-    from elastmix.quadrature import tensor_rule
 
     grid, dofs, system, load = _assembled(n=4)
     sigma_h, _, _ = solve(system, load)
@@ -409,8 +412,8 @@ def test_discrete_divergence_is_projected_load():
     pts, _ = tensor_rule(3, 2)
     div_basis = eval_stress_basis_div(2, pts, grid.spacing)
     div_h = np.einsum("el,lqi->eqi", sigma_h.coeffs[dofs.element_stress], div_basis)
-    gap = np.abs(div_h - ph_f.eval_elements(pts)).max()
-    scale = np.abs(ph_f.eval_elements(pts)).max()
+    gap = np.abs(div_h - eval_elements(ph_f, pts)).max()
+    scale = np.abs(eval_elements(ph_f, pts)).max()
     assert gap <= 1e-9 * scale
 
 

@@ -16,7 +16,6 @@ from elastmix.interpolate import (
 )
 from elastmix.manufactured import AxisField, sine_solution
 from elastmix.material import LameParams
-from elastmix.quadrature import tensor_rule
 import elastmix.verify
 from elastmix.verify import (
     error_norms,
@@ -28,10 +27,13 @@ from elastmix.verify import (
 from poly_utils import (
     dense_stability_probes,
     divergence,
+    element_origins,
+    eval_elements,
     grams_and_mass,
     partial_block_grid,
     pointwise_error_norms,
     random_box,
+    tensor_rule,
 )
 
 MAT = LameParams(mu=0.5, lam=1.0)
@@ -132,11 +134,11 @@ def test_blocked_error_norms_match_whole_array(dim):
     rec = error_norms(grid, exact, sigma_h, u_h)
 
     pts, w = tensor_rule(5, dim)
-    x = grid.element_origins()[:, None, :] + pts[None, :, :] * grid.spacing
+    x = element_origins(grid)[:, None, :] + pts[None, :, :] * grid.spacing
     flat = x.reshape(-1, dim)
-    sig = exact.sigma(flat).reshape(x.shape + (dim,)) - sigma_h.eval_elements(pts)
-    div = exact.f(flat).reshape(x.shape) - divergence(sigma_h).eval_elements(pts)
-    u = exact.u(flat).reshape(x.shape) - u_h.eval_elements(pts)
+    sig = exact.sigma(flat).reshape(x.shape + (dim,)) - eval_elements(sigma_h, pts)
+    div = exact.f(flat).reshape(x.shape) - eval_elements(divergence(sigma_h), pts)
+    u = exact.u(flat).reshape(x.shape) - eval_elements(u_h, pts)
     vol = grid.element_volume
     expected = {
         "sigma_l2": np.sqrt(vol * np.einsum("eqij,eqij,q->", sig, sig, w)),
