@@ -20,8 +20,11 @@ whose divergence D is a moment of the derivative of a quadratic; C_c (x) L_j
 comes from s_cj, with C_c = H P_c^-1 H^T (hats against moments along c) and
 L_j = Delta P_j^-1 Delta^T (differences along j).  Only the coupling of
 different components through the shear unknowns is dropped.  The 1D
-integrals are exact integrals of the element's integer factor polynomials,
-and every Gram inverse is a tridiagonal solve (LAPACK dpttrf, dpttrs).
+integrals are the element's reference matrices on [0, 1]: G_i is assembled
+from ``element.QUAD_GRAM`` and P_k from ``HAT_GRAM``, D from
+``DQUAD_MOMENTS``, H from ``HAT_MOMENTS`` and Delta from ``DHAT_MEANS``; the
+compliance scales take the one coupling ``LameParams.trace_coupling``.
+Every Gram inverse is a tridiagonal solve (LAPACK dpttrf, dpttrs).
 
 S_c is inverted by fast diagonalization (Lynch, Rice and Thomas, Numer.
 Math. 1964).  A_c is SPD but C_c is only semidefinite, so the pair is
@@ -60,17 +63,9 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, lapack
 
 from .assembly import DofMap
-from .element import _HATS, _ONE, _QUADRATICS, _T, _deriv, _integral
+from .element import DHAT_MEANS, DQUAD_MOMENTS, HAT_GRAM, HAT_MOMENTS, QUAD_GRAM
 from .grid import TensorGrid
 from .material import LameParams
-
-# Reference-interval integrals behind the 1D factors, t in [0, 1]: the
-# derivatives of the dual quadratics (face 0, face 1, volume) and the hats
-# (node 0, node 1) against the displacement moments (1, t).
-_DQUAD_MOMENTS = np.array(
-    [[_integral(_deriv(q), m) for q in _QUADRATICS] for m in (_ONE, _T)]
-)
-_HAT_MOMENTS = np.array([[_integral(hat, m) for hat in _HATS] for m in (_ONE, _T)])
 
 
 def _compliance_scales(material: LameParams, dim: int) -> tuple[float, float]:
@@ -79,8 +74,7 @@ def _compliance_scales(material: LameParams, dim: int) -> tuple[float, float]:
     A s = (s - lam / (2 mu + n lam) tr(s) I) / (2 mu); a shear pair has no
     trace, and its two entries give 2 / (2 mu).
     """
-    a_diag = (1.0 - material.lam / material.trace_factor(dim)) / (2.0 * material.mu)
-    return a_diag, 1.0 / material.mu
+    return (1.0 - material.trace_coupling(dim)) / (2.0 * material.mu), 1.0 / material.mu
 
 
 def _element_by_node(local: np.ndarray, n: int) -> sp.csr_matrix:
@@ -100,15 +94,9 @@ def _flush(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _gram(polys) -> np.ndarray:
-    return np.array([[_integral(p, q) for q in polys] for p in polys])
-
-
-_HAT_GRAM = _gram(_HATS)
-_CHAIN_GRAM = _gram(_QUADRATICS)
 # each volume average condensed onto the two faces of its cell
-_CONDENSE = _CHAIN_GRAM[:2, 2] / _CHAIN_GRAM[2, 2]
-_FACE_GRAM = _CHAIN_GRAM[:2, :2] - np.outer(_CHAIN_GRAM[:2, 2], _CONDENSE)
+_CONDENSE = QUAD_GRAM[:2, 2] / QUAD_GRAM[2, 2]
+_FACE_GRAM = QUAD_GRAM[:2, :2] - np.outer(QUAD_GRAM[:2, 2], _CONDENSE)
 
 
 def _node_factors(local: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +125,7 @@ def _chain_solve(factors, faces, volumes, t, u) -> None:
     With the pad row zero, each face update is one pass over the flat
     buffers: a column's last face takes w0 times the pad, and the next
     column's first face w1 times it, so the column seams stay exact."""
-    g, w = _CHAIN_GRAM, _CONDENSE
+    g, w = QUAD_GRAM, _CONDENSE
     volumes[-1] = 0.0
     f, v, t, u = (a.ravel(order="F") for a in (faces, volumes, t, u))
     f -= np.multiply(v, w[0], out=t)
@@ -210,7 +198,7 @@ class StressInverse:
                 for part, buffer in zip(parts, buffers):
                     for f, view in zip(part, _views(buffer, [(f[3][s], f[1]) for f in part])):
                         f[4].append(view)
-                gram = _FACE_GRAM if len(sweeps) == 1 else _HAT_GRAM
+                gram = _FACE_GRAM if len(sweeps) == 1 else HAT_GRAM
                 built.append((_node_factors(gram, n), buffers))
             self._groups.append((built, families))
 
@@ -237,27 +225,26 @@ def component_factors(
     Rows of A_c and C_c are numbered 2 e + m for the element index e along
     axis c and the moment m; L_j is numbered by the element index along j.
     """
-    vol = grid.element_volume
-    h = grid.spacing
+    vol, h = grid.element_volume, grid.spacing
     a_diag, a_shear = _compliance_scales(material, grid.dim)
 
     def form(d, n):  # d P^-1 d^T for the Gram P of the hats on n cells
         x = d.T.toarray(order="F")
-        _pttrs(_node_factors(_HAT_GRAM, n), x)
+        _pttrs(_node_factors(HAT_GRAM, n), x)
         return _flush(d @ x)
 
     n = grid.subdivisions[c]
-    faces = _element_by_node(_DQUAD_MOMENTS[:, :2], n)
-    volumes = _element_by_node(_DQUAD_MOMENTS[:, 2:], n)
+    faces = _element_by_node(DQUAD_MOMENTS[:, :2], n)
+    volumes = _element_by_node(DQUAD_MOMENTS[:, 2:], n)
     # faces, volume averages with their pad row, and the two scratch arrays
     solved = [np.zeros((n + 1, 2 * n), order="F") for _ in range(4)]
     solved[0][...] = faces.T.toarray()
     solved[1][:-1] = volumes.T.toarray()
     _chain_solve(_node_factors(_FACE_GRAM, n), *solved)
     A = _flush((vol / (a_diag * h[c] ** 2)) * (faces @ solved[0] + volumes @ solved[1][:-1]))
-    C = (vol / a_shear) * form(_element_by_node(_HAT_MOMENTS, n), n)
+    C = (vol / a_shear) * form(_element_by_node(HAT_MOMENTS, n), n)
     L = {
-        j: form(_element_by_node(np.array([[-1.0, 1.0]]), n_j), n_j) / h[j] ** 2
+        j: form(_element_by_node(DHAT_MEANS, n_j), n_j) / h[j] ** 2
         for j, n_j in enumerate(grid.subdivisions)
         if j != c
     }

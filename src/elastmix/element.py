@@ -26,7 +26,13 @@ entry, its factor on each axis and where its entity sits on the cell; the
 local matrices, the weights of the data integrals, the DOF map and the
 Schur factors all read it.  Nothing here evaluates a basis at points: the
 integrals take the factors axis by axis, and the pointwise bases are the
-tests' oracles.
+tests' oracles.  The 1D integrals on [0, 1] behind the global matrices are
+module constants: the Grams of the quadratics (``QUAD_GRAM``) and of the
+hats (``HAT_GRAM``), the displacement moments (1, xi) of the quadratics'
+derivatives (``DQUAD_MOMENTS``) and of the hats (``HAT_MOMENTS``), and the
+hats' derivatives against 1 (``DHAT_MEANS``).  M and B are short sums of
+Kronecker products of them, and the preconditioner inverses of ``_schur``
+read nothing else of the element.
 Local displacement DOF b is component b // 2 times the moment xi^(b % 2) of
 the component's own axis.
 
@@ -153,6 +159,26 @@ def _integral(p: tuple[int, ...], q: tuple[int, ...]) -> float:
     )
 
 
+def _integrals(rows, cols) -> np.ndarray:
+    """The read-only matrix of ``_integral`` over two lists of polynomials."""
+    out = np.array([[_integral(p, q) for q in cols] for p in rows])
+    out.setflags(write=False)
+    return out
+
+
+# The 1D reference matrices on [0, 1] of which M, B and both preconditioner
+# inverses are sums of Kronecker products; rows and columns in the order of
+# the dual quadratics (q0, q1, qv), the hats (1 - t, t) and the displacement
+# moments (1, t).  On every other axis both factors are 1, of integral 1.
+QUAD_GRAM = _integrals(_QUADRATICS, _QUADRATICS)
+HAT_GRAM = _integrals(_HATS, _HATS)
+DQUAD_MOMENTS = _integrals((_ONE, _T), [_deriv(q) for q in _QUADRATICS])
+HAT_MOMENTS = _integrals((_ONE, _T), _HATS)
+# a hat is differentiated only across a displacement component's axis,
+# where that component is constant: the difference (-1, 1)
+DHAT_MEANS = _integrals((_ONE,), [_deriv(hat) for hat in _HATS])
+
+
 def _stress_terms(h: np.ndarray):
     """The shape functions on a cell of edge lengths h as sums of products of 1D factors.
 
@@ -179,7 +205,7 @@ def _disp_terms(dim: int):
 
 
 def _inner(rows, cols) -> np.ndarray:
-    """Unit-volume inner products of two families of functions given as terms."""
+    """Unit-volume inner products of two families of functions given as terms, read-only."""
     out = np.zeros((len(rows), len(cols)))
     for a, terms_a in enumerate(rows):
         for b, terms_b in enumerate(cols):
@@ -189,14 +215,15 @@ def _inner(rows, cols) -> np.ndarray:
                 for kb, sb, fb in terms_b
                 if ka == kb
             )
+    out.setflags(write=False)
     return out
 
 
 def _positive(spacing: Sequence[float]) -> np.ndarray:
-    """The cell edge lengths as an array; reject nonpositive ones."""
+    """The cell edge lengths as an array; reject nonpositive and infinite ones."""
     h = np.asarray(spacing, dtype=float)
-    if h.ndim != 1 or not (h > 0).all():
-        raise ValueError(f"cell spacing must be a vector of positive lengths, got {spacing}")
+    if h.ndim != 1 or not ((h > 0) & (h < np.inf)).all():
+        raise ValueError(f"cell spacing must be a vector of finite positive lengths, got {spacing}")
     return h
 
 
@@ -208,10 +235,7 @@ def _unit_cell(dim: int):
     the edge lengths."""
     value, trace, _ = _stress_terms(np.ones(dim))
     psi = _disp_terms(dim)
-    grams = _inner(value, value), _inner(trace, trace), _inner(psi, psi)
-    for gram in grams:
-        gram.setflags(write=False)
-    return (value, psi) + grams
+    return value, psi, _inner(value, value), _inner(trace, trace), _inner(psi, psi)
 
 
 def local_compliance_matrix(spacing: Sequence[float], material: LameParams) -> np.ndarray:
@@ -222,7 +246,7 @@ def local_compliance_matrix(spacing: Sequence[float], material: LameParams) -> n
     """
     h = _positive(spacing)
     _, _, value, trace, _ = _unit_cell(h.size)
-    coupling = material.lam / material.trace_factor(h.size)
+    coupling = material.trace_coupling(h.size)
     return (float(np.prod(h)) / (2.0 * material.mu)) * (value - coupling * trace)
 
 

@@ -10,7 +10,8 @@ them from the element table.  Grids are immutable and store no coordinate
 arrays; geometry is derived from the box and counts on demand, and the
 integrals build each lattice's coordinates axis by axis
 (``quadrature._cell_moments``).  The dimension and the counts are integers:
-a float, even a whole one, is rejected rather than truncated.
+a float, even a whole one, is rejected rather than truncated.  Every interval
+has a positive finite length, so no spacing is infinite.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class TensorGrid:
                 f"got {len(box)} and {len(subs)}"
             )
         for a, b in box:
-            if not b > a:
-                raise ValueError(f"degenerate interval [{a}, {b}]")
+            # an infinite edge, or finite edges whose distance overflows
+            if not 0 < b - a < np.inf:
+                raise ValueError(f"interval [{a}, {b}] must have a positive finite length")
         for n in subs:
             if n < 1:
                 raise ValueError(f"subdivision counts must be positive, got {n}")

@@ -4,11 +4,12 @@ The compliance acting on a symmetric n x n tensor is
 
     A s = (s - lam / (2 mu + n lam) * tr(s) * I) / (2 mu),
 
-its inverse is C e = 2 mu e + lam tr(e) I.  On symmetric tensors A is SPD with
-spectrum {1/(2 mu), 1/(2 mu + n lam)}, the smaller eigenvalue attained on
-multiples of the identity.  Only its cell integrals are formed
-(``element.local_compliance_matrix``); the manufactured stresses apply C
-term by term.
+its inverse is C e = 2 mu e + lam tr(e) I.  On symmetric tensors A is SPD
+with spectrum {1/(2 mu), 1/(2 mu + n lam)}, the smaller eigenvalue attained
+on multiples of the identity.  Only its cell integrals are formed
+(``element.local_compliance_matrix``) and the preconditioner's scales
+(``_schur``), both from the one coupling ``LameParams.trace_coupling``; the
+manufactured stresses apply C term by term.
 """
 
 from __future__ import annotations
@@ -34,3 +35,7 @@ class LameParams:
     def trace_factor(self, n: int) -> float:
         """The modulus 2 mu + n lam appearing in the trace coupling."""
         return 2.0 * self.mu + n * self.lam
+
+    def trace_coupling(self, n: int) -> float:
+        """lam / (2 mu + n lam), the multiple of tr(s) I that A takes from s."""
+        return self.lam / self.trace_factor(n)

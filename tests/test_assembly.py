@@ -6,7 +6,16 @@ import scipy.sparse as sp
 
 import elastmix.assembly
 from elastmix.assembly import assemble, assemble_load, build_dof_map
-from elastmix.element import element_table, local_compliance_matrix, local_div_matrix
+from elastmix.element import (
+    DHAT_MEANS,
+    DQUAD_MOMENTS,
+    HAT_GRAM,
+    HAT_MOMENTS,
+    QUAD_GRAM,
+    element_table,
+    local_compliance_matrix,
+    local_div_matrix,
+)
 from elastmix.grid import TensorGrid, flat_strides, unit_grid
 from elastmix.interpolate import DisplacementField, StressField, interp_stress
 from elastmix.manufactured import sine_solution
@@ -442,6 +451,113 @@ def test_direct_csr_equals_the_scattered_triplets(grid, lam):
         for name in ("indptr", "indices", "data"):
             got, expected = getattr(matrix, name), getattr(oracle, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+
+def _summed_over_cells(local, n, nodal_rows, nodal_cols):
+    """A reference 1D block summed over n cells: cell e adds ``local`` at the
+    points e and e + 1 of a nodal side, and at its own one or two unknowns
+    (numbered cell by cell) of a cell side."""
+
+    def places(size, nodal):
+        if nodal:
+            return np.arange(n)[:, None] + np.arange(size)
+        return np.arange(n * size).reshape(n, size)
+
+    rows, cols = places(local.shape[0], nodal_rows), places(local.shape[1], nodal_cols)
+    out = np.zeros((rows.max() + 1, cols.max() + 1))
+    for r, c in zip(rows, cols):
+        out[np.ix_(r, c)] += local
+    return out
+
+
+def _kron_over_axes(factors):
+    """The Kronecker product of one matrix per axis, axis 0 fastest."""
+    out = np.ones((1, 1))
+    for factor in factors:
+        out = np.kron(factor, out)
+    return out
+
+
+def _kron_system(grid, material):
+    """M and B as sums of Kronecker products of the element's 1D constants.
+
+    Along its own axis a diagonal entry is a face pair (q0, q1) or a volume
+    function qv, and 1 on every other axis; a shear entry is a hat pair on
+    its two axes.  The quadratics sum to 1, so the Gram of (q0, q1, qv, 1)
+    is QUAD_GRAM bordered by its row sums.  Displacement component c is the
+    moments (1, t) on axis c, unknown 2 e + m of that axis.
+    """
+    dim, subs, h, vol = grid.dim, grid.subdivisions, grid.spacing, grid.element_volume
+    coupling = material.lam / (2 * material.mu + dim * material.lam)
+    mean = QUAD_GRAM.sum(axis=1, keepdims=True)
+    values = np.block([[QUAD_GRAM, mean], [mean.T, np.ones((1, 1))]])
+    dofs = build_dof_map(grid)
+    M = np.zeros((dofs.n_stress, dofs.n_stress))
+    B = np.zeros((grid.n_elements, dim, 2, dofs.n_stress))
+    cells = [np.eye(n) for n in subs]
+    for (i, j), nodal, start in dofs.families:
+        size = int(np.prod(np.add(subs, nodal)))
+        columns = slice(start, start + size)
+        if i != j:  # a shear family meets only itself in M
+            factors = [
+                _summed_over_cells(HAT_GRAM, n, True, True) if k in (i, j) else cells[k]
+                for k, n in enumerate(subs)
+            ]
+            M[columns, columns] = vol / material.mu * _kron_over_axes(factors)
+            # component i takes d/dx_j of s_ij, component j d/dx_i of s_ji
+            div = [(i, j), (j, i)]
+        else:
+            own = [0, 1] if nodal[i] else [2]
+            for (r, s), row_nodal, row_start in dofs.families:
+                if r != s:
+                    continue
+                rows = slice(row_start, row_start + int(np.prod(np.add(subs, row_nodal))))
+                row_own = [0, 1] if row_nodal[r] else [2]
+                factors = [
+                    _summed_over_cells(
+                        values[np.ix_(row_own if k == r else [3], own if k == i else [3])],
+                        n, row_nodal[k], nodal[k],
+                    )
+                    for k, n in enumerate(subs)
+                ]
+                scale = ((r == i) - coupling) * vol / (2 * material.mu)
+                M[rows, columns] = scale * _kron_over_axes(factors)
+            div = [(i, i)]
+        for c, s in div:
+            factors = cells.copy()
+            if c == s:
+                moments = DQUAD_MOMENTS[:, own]
+                factors[c] = _summed_over_cells(moments, subs[c], False, nodal[c]) / h[c]
+            else:
+                factors[c] = _summed_over_cells(HAT_MOMENTS, subs[c], False, True)
+                factors[s] = _summed_over_cells(DHAT_MEANS, subs[s], False, True) / h[s]
+            # axis c counts 2 e + m, at position dim - 1 - c of the C-ordered
+            # cells: move the moment m behind the cells
+            block = vol * _kron_over_axes(factors)
+            rev = subs[::-1]
+            split = block.reshape(rev[: dim - 1 - c] + (subs[c], 2) + rev[dim - c :] + (size,))
+            B[:, c, :, columns] = np.moveaxis(split, dim - c, dim).reshape(-1, 2, size)
+    return M, B.reshape(-1, dofs.n_stress)
+
+
+KRON_GRIDS = [
+    TensorGrid(2, ((0.0, 1.0), (-0.5, 2.0)), (3, 5)),
+    TensorGrid(3, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3)), (2, 3, 4)),
+    TensorGrid(4, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3), (0.0, 2.0)), (2, 1, 3, 2)),
+    TensorGrid(5, ((0.0, 1.0), (-1.0, 0.5), (0.0, 0.3), (0.0, 2.0), (1.0, 1.7)), (2, 1, 2, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1e4])
+@pytest.mark.parametrize("grid", KRON_GRIDS, ids=["2d", "3d", "4d", "5d"])
+def test_matrices_are_kronecker_sums_of_the_1d_constants(grid, lam):
+    # every global matrix is a short sum of Kronecker products of the 1D
+    # reference matrices on [0, 1], assembled per axis
+    material = LameParams(0.7, lam)
+    system = assemble(grid, material)
+    for got, kron in zip((system.M, system.B), _kron_system(grid, material)):
+        got = got.toarray()
+        assert np.abs(got - kron).max() <= 1e-14 * np.abs(got).max()
 
 
 @pytest.mark.parametrize("dim, n", [(2, 256), (3, 24), (4, 10)])

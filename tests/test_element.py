@@ -158,7 +158,7 @@ def test_degenerate_box_rejected():
         lambda h: local_compliance_matrix(h, material),
         local_div_matrix, stress_l2_gram, disp_mass, div_map,
     ):
-        for spacing in ([1.0, 0.0], [1.0, -0.5], [1.0, np.nan], [[1.0, 1.0]]):
+        for spacing in ([1.0, 0.0], [1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [[1.0, 1.0]]):
             with pytest.raises(ValueError, match="spacing"):
                 local(spacing)
 

@@ -1,6 +1,8 @@
 """Grid geometry, and the entity lattices as the DOF map numbers them: every
 entity is reached by the cells that touch it, and only by those."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,11 @@ def test_construction_errors():
         TensorGrid(2, [(0.0, 1.0), (0.0, 1.0)], [0, 2])
     with pytest.raises(ValueError):
         TensorGrid(2, [(0.0, 1.0)], [2, 2])
+    # an infinite edge, or finite edges whose distance overflows to an
+    # infinite spacing
+    for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match=re.escape(f"interval [{a}, {b}] must have")):
+            TensorGrid(2, [(a, b), (0.0, 1.0)], [2, 2])
     # lists are normalized to the tuples of the frozen grid
     g = TensorGrid(2, [[0, 1], [0, 2]], [2, 4])
     assert g == TensorGrid(2, ((0.0, 1.0), (0.0, 2.0)), (2, 4))
