@@ -25,8 +25,10 @@ origin.  ``element_table`` lists, for each local stress DOF, its tensor
 entry, its factor on each axis and where its entity sits on the cell; the
 local matrices, the weights of the data integrals, the DOF map and the
 Schur factors all read it.  Nothing here evaluates a basis at points: the
-integrals take the factors axis by axis, and the pointwise bases are the
-tests' oracles.  The 1D integrals on [0, 1] behind the global matrices are
+local matrices take the factors axis by axis as exact 1D integrals, the data
+integrals of ``quadrature`` evaluate each 1D factor at their rule's nodes
+with numpy's ``polyval``, and the pointwise bases are the tests' oracles.
+The 1D integrals on [0, 1] behind the global matrices are
 module constants: the Grams of the quadratics (``QUAD_GRAM``) and of the
 hats (``HAT_GRAM``), the displacement moments (1, xi) of the quadratics'
 derivatives (``DQUAD_MOMENTS``) and of the hats (``HAT_MOMENTS``), and the
@@ -122,21 +124,6 @@ def _entries(entry: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     adds the derivative along x_s to component r of the divergence."""
     i, j = entry
     return ((i, j), (j, i)) if i != j else ((i, i),)
-
-
-# -- factors at points --------------------------------------------------------
-
-
-def _eval_factors(factors: tuple[tuple[int, ...], ...], xi: np.ndarray):
-    """Product over the axes of the 1D factors at ``xi``, each by Horner."""
-    value = 1
-    for k, p in enumerate(factors):
-        if p != _ONE:
-            f = p[-1]
-            for c in p[-2::-1]:
-                f = f * xi[:, k] + c
-            value = value * f
-    return value
 
 
 # -- local matrices -----------------------------------------------------------

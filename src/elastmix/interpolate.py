@@ -34,35 +34,33 @@ from .quadrature import _cell_moments
 
 
 @dataclass(frozen=True)
-class StressField:
-    """Coefficient vector over the global stress unknowns of a DOF map."""
+class _Field:
+    """Coefficient vector over the global unknowns of one field of a DOF map;
+    a subclass names the field and the DOF map's count of its unknowns."""
 
     dofs: DofMap
     coeffs: np.ndarray
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.dofs.n_stress,):
-            raise ValueError(
-                f"expected {self.dofs.n_stress} stress coefficients, got {coeffs.shape}"
-            )
+        size = getattr(self.dofs, self._size)
+        if coeffs.shape != (size,):
+            raise ValueError(f"expected {size} {self._name} coefficients, got {coeffs.shape}")
         object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True)
-class DisplacementField:
+class StressField(_Field):
+    """Coefficient vector over the global stress unknowns of a DOF map."""
+
+    _name, _size = "stress", "n_stress"
+
+
+@dataclass(frozen=True)
+class DisplacementField(_Field):
     """Coefficient vector over the global displacement unknowns of a DOF map."""
 
-    dofs: DofMap
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.dofs.n_disp,):
-            raise ValueError(
-                f"expected {self.dofs.n_disp} displacement coefficients, got {coeffs.shape}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    _name, _size = "displacement", "n_disp"
 
 
 def interp_stress(

@@ -24,8 +24,9 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-from .element import _ONE, _eval_factors
+from .element import _ONE
 from .grid import TensorGrid
 from .manufactured import AxisField
 
@@ -135,9 +136,7 @@ def _cell_moments(
     # w * p(nodes) for every axis k and 1D factor p the functions use, and p = 1
     axis_factors = {(k, p) for terms in functions for *_, f in terms for k, p in enumerate(f)}
     axis_factors |= {(k, _ONE) for k in range(dim)}
-    weighted = {
-        (k, p): rules[k][1] * _eval_factors((p,), rules[k][0][:, None]) for k, p in axis_factors
-    }
+    weighted = {(k, p): rules[k][1] * polyval(rules[k][0], p) for k, p in axis_factors}
     if isinstance(field, AxisField):
         yield from _separable_moments(field, functions, dims, coordinates, weighted, squares)
         return

@@ -1,11 +1,12 @@
 """Batch convergence studies: solve a mesh sequence, measure, fit rates, emit tables.
 
-The CSV written here is the source of truth: one row per level with errors,
-superclose norms, DOF counts, the solver residual and the level wall time,
-followed by a summary row (level = "rate") holding the fitted log-log slopes.
-A human-readable markdown table is derived from the CSV afterwards.  Apart
-from the wall-time column, two runs with the same configuration produce
-byte-identical CSV bodies.
+A study's results are one table: one row per level with errors, superclose
+norms, DOF counts, the solver residual and the level wall time, followed by a
+summary row (level = "rate") holding the fitted log-log slopes.  The columns
+are declared once, here, and ``_table`` gives the values in their order.  The
+CSV holds that table to 16 significant digits; the markdown holds the same
+table to 4, under the study's metadata.  Apart from the wall-time column, two
+runs with the same configuration produce byte-identical CSV bodies.
 
 When four or more levels are available the rate fit drops the coarsest one
 (pre-asymptotic pollution); the levels actually used are recorded in the
@@ -36,13 +37,6 @@ from .verify import (
     superclose_norms,
 )
 
-BASE_COLUMNS = (
-    "level", "N", "h", "stress_dofs", "disp_dofs",
-    "err_sigma_l2", "err_sigma_div", "err_sigma_hdiv", "err_u_l2",
-    "super_sigma_l2", "super_sigma_hdiv", "super_u_l2",
-    "solve_residual", "wall_time_s",
-)
-PROBE_COLUMNS = ("beta_h", "alpha_kernel")
 # CSV column -> ErrorRecord field of every measured norm, in column order
 _RECORD_FIELD = {
     "err_sigma_l2": "sigma_l2",
@@ -54,6 +48,11 @@ _RECORD_FIELD = {
     "super_u_l2": "super_u_l2",
 }
 RATE_COLUMNS = tuple(_RECORD_FIELD)
+# the order of ``_table``'s level rows
+BASE_COLUMNS = (
+    "level", "N", "h", "stress_dofs", "disp_dofs", *RATE_COLUMNS, "solve_residual", "wall_time_s"
+)
+PROBE_COLUMNS = ("beta_h", "alpha_kernel")
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,9 @@ class StudyConfig:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError(f"levels must be strictly increasing, got {self.levels}")
-        if not self.solver_tol > 0:
-            raise ValueError(f"solver tolerance must be positive, got {self.solver_tol}")
+        # the zero vector meets a tolerance of 1 or more
+        if not 0 < self.solver_tol < 1:
+            raise ValueError(f"solver tolerance must lie in (0, 1), got {self.solver_tol}")
         if self.probe_budget < 1:
             raise ValueError(f"probe budget must be at least 1, got {self.probe_budget}")
         # the CSV is written after the last level, so check its path now; the
@@ -90,6 +90,8 @@ class StudyConfig:
             raise ValueError(f"output directory of {self.output!r} does not exist")
         if Path(self.output).suffix == ".md":
             raise ValueError(f"output {self.output!r} would be overwritten by the .md table")
+        if Path(self.output).is_dir() or Path(self.output).with_suffix(".md").is_dir():
+            raise ValueError(f"output {self.output!r} or its .md table is a directory")
         # materialize early so a bad mu/lam, solution name or dimension
         # surfaces as a config error
         solution_by_name(self.solution, self.dim, LameParams(self.mu, self.lam))
@@ -197,62 +199,45 @@ def run_study(config: StudyConfig) -> StudyResult:
         md_path=md_path,
     )
     write_csv(result, csv_path)
-    write_markdown(result, csv_path, md_path)
+    write_markdown(result, md_path)
     return result
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.15e}"
+def _table(result: StudyResult) -> tuple[tuple[str, ...], list[list]]:
+    """The study's columns, then each level's values in column order and the rate row."""
+    probed = result.config.probe_infsup
+    columns = BASE_COLUMNS + PROBE_COLUMNS if probed else BASE_COLUMNS
+    rows = []
+    for idx, lv in enumerate(result.levels, start=1):
+        rec = lv.record
+        rows.append([
+            idx, lv.n, rec.h, rec.stress_dofs, rec.disp_dofs,
+            *(getattr(rec, name) for name in _RECORD_FIELD.values()),
+            lv.report.residual, lv.wall_time, *([lv.beta_h, lv.alpha_kernel] if probed else []),
+        ])
+    if result.rates:
+        rows.append(["rate", *(result.rates.get(col) for col in columns[1:])])
+    return columns, rows
 
 
-def study_columns(config: StudyConfig) -> tuple[str, ...]:
-    return BASE_COLUMNS + PROBE_COLUMNS if config.probe_infsup else BASE_COLUMNS
+def _cell(value, digits: int) -> str:
+    """A table cell: empty for None, a float in e-notation, anything else as it prints."""
+    if value is None:
+        return ""
+    return f"{value:.{digits}e}" if isinstance(value, float) else str(value)
 
 
 def write_csv(result: StudyResult, path: Path) -> None:
-    columns = study_columns(result.config)
+    columns, rows = _table(result)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
-        for idx, lv in enumerate(result.levels, start=1):
-            rec = lv.record
-            row = {
-                "level": str(idx),
-                "N": str(lv.n),
-                "h": _fmt(rec.h),
-                "stress_dofs": str(rec.stress_dofs),
-                "disp_dofs": str(rec.disp_dofs),
-                "solve_residual": _fmt(lv.report.residual),
-                "wall_time_s": _fmt(lv.wall_time),
-                "beta_h": _fmt(lv.beta_h),
-                "alpha_kernel": _fmt(lv.alpha_kernel),
-            }
-            for col, fld in _RECORD_FIELD.items():
-                row[col] = _fmt(getattr(rec, fld))
-            writer.writerow([row.get(c, "") for c in columns])
-        if result.rates:
-            rate_row = {"level": "rate"}
-            rate_row.update({col: _fmt(v) for col, v in result.rates.items()})
-            writer.writerow([rate_row.get(c, "") for c in columns])
+        writer.writerows([_cell(value, 15) for value in row] for row in rows)
 
 
-def write_markdown(result: StudyResult, csv_path: Path, md_path: Path) -> None:
-    """Render the CSV into a markdown table with study metadata."""
-    with open(csv_path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    header, body = rows[0], rows[1:]
-
-    def summarize(cell: str) -> str:
-        try:
-            int(cell)
-            return cell
-        except ValueError:
-            pass
-        try:
-            return f"{float(cell):.3e}"
-        except ValueError:
-            return cell
-
+def write_markdown(result: StudyResult, md_path: Path) -> None:
+    """Write the CSV's table, to four digits, under the study metadata."""
+    columns, rows = _table(result)
     cfg = result.config
     lines = [
         f"# Convergence study: {cfg.solution}, dim={cfg.dim}",
@@ -271,10 +256,8 @@ def write_markdown(result: StudyResult, csv_path: Path, md_path: Path) -> None:
         lines.append("- no rate fit (fewer than 3 levels)")
     lines += [
         "",
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(["---"] * len(header)) + "|",
+        "| " + " | ".join(columns) + " |",
+        "|" + "|".join(["---"] * len(columns)) + "|",
+        *("| " + " | ".join(_cell(value, 3) for value in row) + " |" for row in rows),
     ]
-    for row in body:
-        lines.append("| " + " | ".join(summarize(c) for c in row) + " |")
-    lines.append("")
-    md_path.write_text("\n".join(lines))
+    md_path.write_text("\n".join(lines) + "\n")

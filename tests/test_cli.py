@@ -173,9 +173,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "configuration error" in err and "'polynomial', 'sine'" in err
     # each of these used to pass the check and fail later with a traceback
-    # or, for the probe budget, a skipped probe on every level
+    # or, for the probe budget, a skipped probe on every level, or, for a
+    # tolerance of 1 or more, the zero vector on every level
+    (tmp_path / "table.md").mkdir()
     for argv in (
         ["--tol", "0"],
+        ["--tol", "2"],
+        ["--tol", "inf"],
         ["--levels", "0,4,8"],
         ["--lambda", "nan"],
         ["--levels", "2,4,8", "--output", str(tmp_path / "missing" / "study.csv")],
@@ -183,10 +187,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
         ["--probe-budget", "0"],
         # the markdown table would overwrite the CSV
         ["--levels", "2,4,8", "--output", str(tmp_path / "out.md")],
+        # the CSV or the markdown table would be written onto a directory
+        ["--levels", "2,4,8", "--output", str(tmp_path)],
+        ["--levels", "2,4,8", "--output", str(tmp_path / "table.csv")],
     ):
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out.md").exists()
+    assert not (tmp_path / "table.csv").exists() and not tmp_path.with_suffix(".md").exists()
     # the quadrature rule is fixed, so there is no flag for it
     with pytest.raises(SystemExit) as exc:
         main(["--quad-points", "5"])

@@ -429,7 +429,8 @@ def test_input_validation():
     _, dofs, system, load = _assembled(n=2)
     # a bad tolerance is rejected before any product: the blocks are not matrices
     blockless = dataclasses.replace(system, M=None, B=None)
-    for tol in (0.0, -1e-11, np.nan):
+    # the zero vector meets a tolerance of 1 or more
+    for tol in (0.0, -1e-11, np.nan, 1.0, 2.0, np.inf):
         with pytest.raises(ValueError, match="tolerance"):
             solve(blockless, load, tol=tol)
     with pytest.raises(ValueError):
