@@ -49,9 +49,11 @@ object is therefore not reentrant.
 
 The Schur factors are computed in float64 and stored in float32, and the
 products run in single precision; the solver's float64 residual and
-restarts make up the difference.  Each input is scaled by the power of two
-of its largest entry, which is exact and keeps float32 from overflowing or
-underflowing for any finite input.  ``StressInverse`` stays in float64.
+restarts make up the difference.  V, which carries the units of
+mu^(-1/2), is scaled by one power of two for the whole plan, and each input
+by the power of two of its largest entry; both scalings are exact, and one
+final ``ldexp`` undoes them, so float32 neither overflows nor underflows
+whatever the units of the material.  ``StressInverse`` stays in float64.
 """
 
 from __future__ import annotations
@@ -269,16 +271,21 @@ class SchurInverse:
         # element fibre along axis c, 2 n_elements in all
         size = 2 * grid.n_elements * max(len(members) for members in groups.values())
         pool = np.empty(2 * size, np.float32)
+        eigen = []
+        for members in groups.values():
+            A, C, L = component_factors(grid, material, members[0])
+            eigen.append((eigh(C, A), tuple(zip(*(eigh(L[j]) for j in others[members[0]])))))
+        # V^T A_c V = I, so V carries the units of mu^(-1/2) and an apply, which
+        # takes V twice, those of 1 / mu: one power of two for all groups keeps
+        # V's float32 copy in range, and the apply's final ldexp restores it
+        self._shift = max(int(np.frexp(np.abs(V).max())[1]) for (_, V), _ in eigen)
         # per group: its members as (component, array axis order in x, block
         # of x) and one apply's steps as (ufunc, operand, operand, out)
         self._groups = []
-        for members in groups.values():
+        for members, ((phi, V), (lams, Qs)) in zip(groups.values(), eigen):
             c, n = members[0], 2 * subs[members[0]]
-            A, C, L = component_factors(grid, material, c)
-            phi, V = eigh(C, A)
-            lams, Qs = zip(*(eigh(L[j]) for j in others[c]))
             scale = 1.0 / (1.0 + sum(np.ix_(*lams))[..., None] * phi)
-            V, *Qs, scale = (f.astype(np.float32) for f in (V, *Qs, scale))
+            V, *Qs, scale = (f.astype(np.float32) for f in (np.ldexp(V, -self._shift), *Qs, scale))
             lengths = tuple(subs[j] for j in others[c])
             shape = (len(members),) + lengths + (n,)
             x, y = (pool[k * size : k * size + math.prod(shape)].reshape(shape) for k in (0, 1))
@@ -310,5 +317,5 @@ class SchurInverse:
                 ufunc(a, b, out=dst)
             for c, order, block in blocks:
                 lattice[..., c, :].transpose(order)[...] = block
-        np.ldexp(lattice, exponent, out=lattice)
+        np.ldexp(lattice, exponent + 2 * self._shift, out=lattice)
         return result

@@ -2,22 +2,18 @@
 
 Every solution is separable and the same in every component, u_i = U(x) =
 prod_k phi(x_k), with a one-dimensional factor phi vanishing at 0 and 1.
-Writing G_j = dU/dx_j, the gradient rows are identical, (grad u)_{ij} = G_j, so
+The builder writes only u and derives the other fields from the two
+equations of the Hellinger-Reissner system, A sigma = eps(u) and
+div sigma = f:
 
-    eps_ij = (G_i + G_j) / 2,
-    sigma_ij = mu (G_i + G_j) + lam (sum_k G_k) delta_ij,
-    f_i = mu (d_i G_i + sum_j d_j G_j) + mu sum_{j != i} d_j G_i
-          + lam d_i (sum_k G_k).
+    sigma = mu (grad u^T + grad u) + lam (div u) I,
+    f = (mu + lam) grad(div u) + mu Laplace(u).
 
-With P_S the product of phi(x_k) over the axes k not in S, G_j = phi'(x_j) P_j,
-d_j G_j = phi''(x_j) P_j and the mixed terms H_ij = d_j G_i = phi'(x_i) phi'(x_j)
-P_ij, so in any dimension n >= 2
-
-    f_i = (mu + lam) * (d_i G_i + sum_{j != i} H_ij) + mu * sum_j d_j G_j.
-
-One builder writes each field as an ``AxisField``: per component, a short
-list of terms, each a scale times a sum of products of phi, phi' or phi''
-along every axis.  Each factory only names phi, phi' and phi''.  The data
+Each field is an ``AxisField``: per component, a short list of terms, each
+a scale times a sum of products of phi, phi' or phi'' along every axis.  A
+derivative along axis k raises the order of every product on that axis
+(``_d``), and a coefficient times a sum of such derivatives is one term
+(``_times``).  Each factory only names phi, phi' and phi''.  The data
 integrals take these terms axis by axis (``quadrature._cell_moments``); on
 points the same terms are evaluated.
 """
@@ -26,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -46,7 +43,7 @@ class AxisField:
     value shape, (n,) or (n, n); ``terms`` maps every component index to its
     terms (scale, products), and the component is the sum over its terms of
     scale * sum_p prod_k factors[p[k]](x_k).  A term groups the products of
-    one scale, so sigma evaluates as mu (G_i + G_j) + lam (sum_k G_k)
+    one scale, so sigma evaluates as mu (d_i u_j + d_j u_i) + lam (div u)
     delta_ij, bit for bit the stiffness applied to the strain of grad_u.
 
     ``on_axes(axes)`` takes one coordinate array per axis, arrays that
@@ -67,22 +64,17 @@ class AxisField:
         self.terms = terms
 
     def on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        factor, value = {}, {}
+        @cache
+        def factor(k: int, order: int) -> np.ndarray:
+            return self.factors[order](axes[k])
 
+        @cache
         def evaluate(orders: Orders) -> np.ndarray:
-            if orders not in value:
-                for k, order in enumerate(orders):
-                    if (k, order) not in factor:
-                        factor[k, order] = self.factors[order](axes[k])
-                value[orders] = math.prod(factor[k, order] for k, order in enumerate(orders))
-            return value[orders]
+            return math.prod(factor(k, order) for k, order in enumerate(orders))
 
         out = np.empty(np.broadcast_shapes(*(np.shape(x) for x in axes)) + self.shape)
         for index, terms in self.terms.items():
-            component = 0
-            for scale, products in terms:
-                component = component + scale * sum(map(evaluate, products))
-            out[(Ellipsis,) + index] = component
+            out[(Ellipsis,) + index] = sum(scale * sum(map(evaluate, ps)) for scale, ps in terms)
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -109,6 +101,16 @@ class ExactSolution:
     sigma: Callable[[np.ndarray], np.ndarray]
 
 
+def _d(terms: tuple[Term, ...], k: int) -> tuple[Term, ...]:
+    """The derivative along axis k: every product one order higher there."""
+    return tuple((s, tuple(p[:k] + (p[k] + 1,) + p[k + 1 :] for p in ps)) for s, ps in terms)
+
+
+def _times(c: float, *parts: tuple[Term, ...]) -> Term:
+    """c times the sum of ``parts``, whose terms have scale 1, as one term."""
+    return c, tuple(p for part in parts for _, products in part for p in products)
+
+
 def _separable(
     name: str,
     n: int,
@@ -121,26 +123,18 @@ def _separable(
     if n < 2:
         raise ValueError(f"manufactured solutions need dimension n >= 2, got {n}")
     mu, lam = material.mu, material.lam
-
-    def orders(at: dict[int, int]) -> Orders:  # the order on some axes, phi on the rest
-        return tuple(at.get(k, 0) for k in range(n))
-
-    plain = orders({})
-    grad = [orders({j: 1}) for j in range(n)]  # G_j
-    own = [orders({j: 2}) for j in range(n)]  # d_j G_j
-
     pairs = list(product(range(n), repeat=2))
-    u = {(i,): ((1.0, (plain,)),) for i in range(n)}
-    grad_u = {(i, j): ((1.0, (grad[j],)),) for i, j in pairs}
+    u = {(i,): ((1.0, ((0,) * n,)),) for i in range(n)}
+    grad_u = {(i, j): _d(u[i,], j) for i, j in pairs}  # d_j u_i
+    div = [grad_u[k, k] for k in range(n)]
     sigma = {
-        (i, j): ((mu, (grad[i], grad[j])),) + (((lam, tuple(grad)),) if i == j else ())
+        (i, j): (_times(mu, grad_u[j, i], grad_u[i, j]),) + ((_times(lam, *div),) if i == j else ())
         for i, j in pairs
     }
     f = {
-        (i,): (
-            # (mu + lam) (d_i G_i + sum_{j != i} H_ij) + mu sum_j d_j G_j
-            (mu + lam, (own[i],) + tuple(orders({i: 1, j: 1}) for j in range(n) if j != i)),
-            (mu, tuple(own)),
+        (i,): (  # d_i div u, with d_i d_i u_i first, and Laplace u_i
+            _times(mu + lam, *(_d(div[k], i) for k in sorted(range(n), key=lambda k: k != i))),
+            _times(mu, *(_d(grad_u[i, j], j) for j in range(n))),
         )
         for i in range(n)
     }

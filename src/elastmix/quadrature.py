@@ -20,7 +20,7 @@ rounding.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .grid import TensorGrid
 from .manufactured import AxisField
 
 
-@lru_cache(maxsize=None)
+@cache
 def gauss_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1], exact for polynomials of degree 2*npts - 1."""
     if npts < 1:
@@ -96,10 +96,7 @@ def _walk(dims: Sequence[int], cells: int) -> Iterator[tuple[slice, tuple[slice,
 
 def _outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """The outer product of one vector per axis, flattened with axis 0 fastest."""
-    out = vectors[-1]
-    for v in vectors[-2::-1]:
-        out = np.multiply.outer(out, v)
-    return out.ravel()
+    return reduce(np.multiply.outer, vectors[::-1]).ravel()
 
 
 def _cell_moments(
@@ -133,10 +130,11 @@ def _cell_moments(
         (lo[k] + np.arange(dims[k]) * h[k])[:, None] + nodes[None, :] * h[k]
         for k, (nodes, _) in enumerate(rules)
     ]
-    # w * p(nodes) for every axis k and 1D factor p the functions use, and p = 1
-    axis_factors = {(k, p) for terms in functions for *_, f in terms for k, p in enumerate(f)}
-    axis_factors |= {(k, _ONE) for k in range(dim)}
-    weighted = {(k, p): rules[k][1] * polyval(rules[k][0], p) for k, p in axis_factors}
+
+    @cache
+    def weighted(k: int, p: tuple[int, ...]) -> np.ndarray:  # w * p(nodes) on axis k
+        return rules[k][1] * polyval(rules[k][0], p)
+
     if isinstance(field, AxisField):
         yield from _separable_moments(field, functions, dims, coordinates, weighted, squares)
         return
@@ -147,10 +145,10 @@ def _cell_moments(
         for key, scale, factors in terms:
             column = columns.setdefault(np.index_exp[key], {})
             column[b] = column.get(b, 0.0) + scale * _outer(
-                [weighted[k, p] for k, p in enumerate(factors)]
+                [weighted(k, p) for k, p in enumerate(factors)]
             )
     weights = [(key, list(c), np.stack(list(c.values()), axis=1)) for key, c in columns.items()]
-    w = _outer([weighted[k, _ONE] for k in range(dim)])
+    w = _outer([weighted(k, _ONE) for k in range(dim)])
     for block, ranges in _walk(dims, max(1, BLOCK_POINTS // w.size)):
         # axis k's coordinates at positions dim-1-k (cells) and 2 dim-1-k
         # (nodes) of 2 dim broadcasting axes: the points in the order (cell,
@@ -183,26 +181,18 @@ def _separable_moments(field, functions, dims, coordinates, weighted, squares):
     moment on a slab is the same combination of outer products of the 1D
     sums restricted to the slab's index ranges.
     """
-    values: dict[tuple[int, int], np.ndarray] = {}  # (axis, order) -> (dims_k, q_k)
-    moments_1d: dict[tuple, np.ndarray] = {}
-    squares_1d: dict[tuple, np.ndarray] = {}
 
-    def factor(k: int, order: int) -> np.ndarray:
-        if (k, order) not in values:
-            values[k, order] = field.factors[order](coordinates[k])
-        return values[k, order]
+    @cache
+    def factor(k: int, order: int) -> np.ndarray:  # (dims_k, q_k)
+        return field.factors[order](coordinates[k])
 
+    @cache
     def moment(k: int, order: int, p: tuple[int, ...]) -> np.ndarray:
-        key = (k, order, p)
-        if key not in moments_1d:
-            moments_1d[key] = factor(k, order) @ weighted[k, p]
-        return moments_1d[key]
+        return factor(k, order) @ weighted(k, p)
 
+    @cache
     def square(k: int, a: int, b: int) -> np.ndarray:
-        key = (k, min(a, b), max(a, b))
-        if key not in squares_1d:
-            squares_1d[key] = (factor(k, a) * factor(k, b)) @ weighted[k, _ONE]
-        return squares_1d[key]
+        return (factor(k, a) * factor(k, b)) @ weighted(k, _ONE)
 
     combinations = {}  # component -> {orders: coefficient}
     for index, terms in field.terms.items():

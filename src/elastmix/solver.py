@@ -10,7 +10,7 @@ Schur complement S = B Mb^-1 B^T.  On the uniform grid every block of Mb is
 a Kronecker product of 1D Grams, inverted by tridiagonal solves, and every
 component block of S is a short sum of Kronecker products of 1D matrices,
 inverted by fast diagonalization (see ``_schur``; single-precision
-contractions on an input scaled by a power of two), so the iteration count
+contractions, kept in range by powers of two), so the iteration count
 stays flat under mesh refinement.  Both inverses are plans built once per
 solve; each apply writes into the iteration's work vector in place, from
 one scratch pool per plan, with no vector-sized temporaries.  The products

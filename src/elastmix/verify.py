@@ -258,8 +258,13 @@ def kernel_ellipticity_probe(
     """Smallest Rayleigh quotient of the compliance form on the kernel of B.
 
     On that kernel the divergence vanishes pointwise, so the H(div) norm in
-    the denominator coincides with the L2 norm and the ratio is bounded below
-    by the smallest eigenvalue of the compliance tensor, 1/(2 mu + n lam).
+    the denominator coincides with the L2 norm, and
+
+        (A tau, tau) = |dev tau|^2 / (2 mu) + |tr tau|^2 / (n (2 mu + n lam))
+                    >= |tau|^2 / (2 mu + n lam),
+
+    with equality at the constant identity, which is divergence-free and in
+    every grid's stress space: the probe returns 1/(2 mu + n lam).
     The stress block of [[M, B^T], [B, 0]]^-1 is Z (Z^T M Z)^-1 Z^T for any
     kernel basis Z, so none is formed.
     """

@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.interpolate import BSpline
 
 import elastmix.assembly
 from elastmix.assembly import assemble, assemble_load, build_dof_map
@@ -236,6 +238,59 @@ def test_kernel_fields_divergence_free_pointwise():
         )
         l2_norm = np.sqrt(tau @ (g_l2 @ tau))
         assert div_norm <= 1e-10 * l2_norm
+
+
+def _potential_stresses(grid, dofs):
+    """Interpolants of the stresses of the tensor-product stress potentials.
+
+    Per axis pair i < j, Psi = S_a(x_i) S_b(x_j) prod_k 1[x_k in cell c_k]
+    over the other axes k, with S_a the N + 2 C^1 quadratic B-splines on the
+    open uniform knots of an axis, maps to the divergence-free stress
+    sigma_ii = d_jj Psi, sigma_jj = d_ii Psi, sigma_ij = sigma_ji = -d_i d_j Psi
+    (2D Airy, 3D Maxwell stress functions).  Returns one column per Psi.
+    """
+    dim, lo, h, subs = grid.dim, grid.lo, grid.spacing, grid.subdivisions
+    splines = [
+        BSpline(np.r_[a, a, np.linspace(a, b, n + 1), b, b], np.eye(n + 2), 2)
+        for (a, b), n in zip(grid.box, subs)
+    ]
+    columns = []
+    for i, j in itertools.combinations(range(dim), 2):
+        others = [k for k in range(dim) if k not in (i, j)]
+        counts = [subs[i] + 2, subs[j] + 2] + [subs[k] for k in others]
+        for a, b, *cells in itertools.product(*map(range, counts)):
+
+            def sigma(x, i=i, j=j, a=a, b=b, cells=cells, others=others):
+                si = [splines[i](x[:, i], nu)[:, a] for nu in range(3)]
+                sj = [splines[j](x[:, j], nu)[:, b] for nu in range(3)]
+                p0 = np.ones(len(x))
+                # the rule's points along these axes are Gauss nodes inside cells
+                for k, c in zip(others, cells):
+                    p0 *= np.floor((x[:, k] - lo[k]) / h[k]) == c
+                out = np.zeros((len(x), dim, dim))
+                out[:, i, i] = si[0] * sj[2] * p0
+                out[:, j, j] = si[2] * sj[0] * p0
+                out[:, i, j] = out[:, j, i] = -si[1] * sj[1] * p0
+                return out
+
+            columns.append(interp_stress(grid, dofs, sigma).coeffs)
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 3), (2, 4), (3, 2), (3, 3)])
+def test_kernel_is_spanned_by_tensor_product_stress_potentials(dim, n):
+    # the element is a piece of a discrete elasticity sequence: B maps every
+    # potential's stress to zero, and the potentials fill the kernel, whose
+    # dimension is n_stress - n_disp since B is onto
+    grid = unit_grid(dim, n)
+    dofs = build_dof_map(grid)
+    B = assemble(grid, MAT, dofs).B
+    Z = _potential_stresses(grid, dofs)
+    # each column's image relative to the column's largest entry
+    image = np.abs(B @ Z).max(axis=0) / np.abs(Z).max(axis=0)
+    assert image.max() <= 1e-13 * abs(B).max()
+    assert np.linalg.matrix_rank(B.toarray()) == dofs.n_disp
+    assert np.linalg.matrix_rank(Z) == dofs.n_stress - dofs.n_disp
 
 
 def test_load_zero():

@@ -354,12 +354,16 @@ def test_single_precision_schur_meets_contract_nearly_incompressible(dim, n):
 
 
 @pytest.mark.parametrize(
-    "mu, lam", [(1e10, 1.0), (1e20, 1.0), (8e10, 1.2e11)], ids=["mu1e10", "mu1e20", "steel"]
+    "mu, lam",
+    [(1e10, 1.0), (1e20, 1.0), (8e10, 1.2e11), (1e60, 1.0), (1e100, 1e100)],
+    ids=["mu1e10", "mu1e20", "steel", "mu1e60", "mu_lam1e100"],
 )
 @pytest.mark.parametrize("dim, n", [(2, 128), (3, 8)])
 def test_contract_independent_of_material_scale(dim, n, mu, lam):
     # stop tests measured against ||K|| ||x|| move with the units of mu:
-    # they stopped at residuals of 1e-9 to 2e-4 here
+    # they stopped at residuals of 1e-9 to 2e-4 here. The float32 Schur
+    # factors carry the units of 1 / mu: unscaled, they leave float32's range
+    # from mu = 1e44 on, where MINRES breaks down or stops at residual 1.0
     _, _, system, load = _assembled(n=n, dim=dim, material=LameParams(mu=mu, lam=lam))
     sigma_h, u_h, report = solve(system, load, tol=1e-11)
     residual = np.concatenate(

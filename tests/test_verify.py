@@ -325,8 +325,17 @@ def test_infsup_probe_positive_and_mesh_stable():
 
 
 def test_kernel_ellipticity_bounded_below():
-    alpha = kernel_ellipticity_probe(unit_grid(2, 2), MAT)
-    assert alpha >= 1 / MAT.trace_factor(2) - 1e-10
+    # on the kernel of B the bound 1/(2 mu + n lam) of the compliance is
+    # attained by the constant identity, which every grid's stress space holds
+    grids = [
+        unit_grid(2, 4), unit_grid(2, 12), unit_grid(3, 4),
+        TensorGrid(2, ((0.0, 3.0), (0.0, 1.0)), (9, 4)),
+    ]
+    for grid in grids:
+        for mu, lam in [(0.5, 1.0), (0.5, 1e4), (3.0, 0.0), (0.2, 7.0), (0.7, 2.0)]:
+            material = LameParams(mu=mu, lam=lam)
+            alpha = kernel_ellipticity_probe(grid, material)
+            assert alpha == pytest.approx(1 / material.trace_factor(grid.dim), rel=1e-10)
 
 
 def test_probe_budget_enforced():
@@ -348,6 +357,7 @@ def test_sparse_probes_match_dense_oracle(dim, n, lam):
     beta, alpha = dense_stability_probes(grid, material)
     assert infsup_probe(grid, material) == pytest.approx(beta, rel=1e-10)
     assert kernel_ellipticity_probe(grid, material) == pytest.approx(alpha, rel=1e-10)
+    assert alpha == pytest.approx(1 / material.trace_factor(dim), rel=1e-10)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
