@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -73,7 +74,8 @@ _CONFIG_KEYS = {
     "output": ("output", str, "CSV output path (default study.csv)"),
     "probe_infsup": (
         "probe_infsup", _parse_bool,
-        "also measure the inf-sup constant and kernel ellipticity per level",
+        "also report the inf-sup constant (one sparse LU and eigensolve per level) "
+        "and the kernel ellipticity 1/(2 mu + n lambda)",
     ),
     "probe_budget": ("probe_budget", int, "max unknowns for the stability probes"),
     "tol": ("solver_tol", float, "solver tolerance"),
@@ -81,7 +83,10 @@ _CONFIG_KEYS = {
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a key = value configuration file; '#' starts a comment.
+    """Read a key = value configuration file.
+
+    '#' starts a comment at the start of a line or after whitespace, so a
+    value may hold one (``output = run#1.csv``).
 
     A line that cannot be read or a value that cannot be converted raises
     ValueError naming the file and line.
@@ -89,7 +94,7 @@ def parse_config_file(path: str) -> dict:
     values: dict = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -160,10 +160,8 @@ def run_study(config: StudyConfig) -> StudyResult:
         if config.probe_infsup:
             n_total = level.record.stress_dofs + level.record.disp_dofs
             if n_total <= config.probe_budget:
-                beta = infsup_probe(grid, material, max_dofs=config.probe_budget)
-                alpha = kernel_ellipticity_probe(
-                    grid, material, max_dofs=config.probe_budget
-                )
+                beta = infsup_probe(grid, max_dofs=config.probe_budget)
+                alpha = kernel_ellipticity_probe(grid, material)
                 level = replace(level, beta_h=beta, alpha_kernel=alpha)
             else:
                 warnings.warn(

@@ -21,15 +21,17 @@ quadrature error at all; the superclose div norm is the displacement L2
 norm of div(sigma_h - Pi sigma), the form of D (c_e - pi_e) in the
 displacement mass.
 
-The stability probes are sparse shift-invert eigensolves: the inf-sup
-constant is the square root of the smallest eigenvalue of B S^-1 B^T against
-the displacement mass matrix, with S the H(div) Gram of the stress space
-(locally the L2 Gram plus D^T disp_mass D),
-and the kernel ellipticity ratio is the smallest Rayleigh quotient of the
-compliance form over the kernel of B.  Each probe sums the local saddle
-block over the cells, factors that one matrix, and lets eigsh in
-shift-invert mode about 0 apply a block of its inverse; the metric, also a
-cell sum, is only multiplied by.  No global matrix is assembled.
+The stability probes are Brezzi's two constants.  The inf-sup constant is
+the square root of the smallest eigenvalue of B S^-1 B^T against the
+displacement mass matrix, with S the H(div) Gram of the stress space
+(locally the L2 Gram plus D^T disp_mass D); it depends on no material.  It
+is one sparse shift-invert eigensolve: the local saddle block is summed over
+the cells, that one matrix is factored, and eigsh in shift-invert mode about
+0 applies a block of its inverse; the metric, also a cell sum, is only
+multiplied by.  No global matrix is assembled.  The kernel ellipticity
+ratio, the smallest Rayleigh quotient of the compliance form over the
+kernel of B, is 1/(2 mu + n lam) on every grid and is returned in that
+closed form.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .element import (
     _unit_cell,
     disp_mass,
     div_map,
-    local_compliance_matrix,
     local_div_matrix,
     stress_l2_gram,
 )
@@ -197,39 +198,33 @@ def _cell_sum(local: np.ndarray, cells: np.ndarray, n: int) -> sp.csc_matrix:
     return sp.coo_matrix((np.broadcast_to(local, pairs).ravel(), (rows, cols)), (n, n)).tocsc()
 
 
-def _smallest_saddle_eigenvalue(
-    grid: TensorGrid, material: LameParams, max_dofs: int, on_stress: bool
-) -> float:
-    """Smallest lam of K x = lam D x, K = [[A, B^T], [B, 0]], D nonzero on one block.
+def infsup_probe(grid: TensorGrid, max_dofs: int = 3000) -> float:
+    """Discrete inf-sup constant of the divergence coupling.
 
-    Stress block: A = M, D = H(div) Gram S.  Displacement block: A = S, D =
-    displacement mass.  K and D are cell sums of local matrices, and K is
-    factored once.  +-[K^-1]_block is the inverse of the operator whose
-    eigenvalues against D are the lam (see the probes), so eigsh in
-    shift-invert mode about 0 returns the smallest lam directly and only
-    multiplies by D.  Lanczos from a seeded start repeats it to the last bit.
+    For each displacement v the best stress gives sup_tau (div tau, v) /
+    ||tau||_Hdiv = sqrt(v^T B S^-1 B^T v); minimizing over ||v||_0 = 1 is a
+    generalized eigenvalue problem against the displacement mass matrix.  B,
+    S and the mass hold no material, so neither does the constant.  The
+    displacement block of K^-1, K = [[S, B^T], [B, 0]], is -(B S^-1 B^T)^-1:
+    K and the mass are cell sums of local matrices, K is factored once, and
+    eigsh in shift-invert mode about 0 returns the smallest eigenvalue
+    directly and only multiplies by the mass.  Lanczos from a seeded start
+    repeats it to the last bit.
     """
     dofs = build_dof_map(grid)
     if dofs.n_total > max_dofs:
         raise ValueError(f"probe has {dofs.n_total} unknowns, over the budget of {max_dofs}")
     h, stress, disp = grid.spacing, dofs.element_stress, dofs.element_disp
-    mass, div = disp_mass(h), div_map(h)
+    mass, div, b = disp_mass(h), div_map(h), local_div_matrix(h)
     hdiv = stress_l2_gram(h) + div.T @ mass @ div
-    if on_stress:
-        a, d, cells, sign = local_compliance_matrix(h, material), hdiv, stress, 1.0
-        block = slice(0, dofs.n_stress)
-    else:
-        a, d, cells, sign = hdiv, mass, disp, -1.0
-        block = slice(dofs.n_stress, dofs.n_total)
-    b = local_div_matrix(h)
-    local = np.block([[a, b.T], [b, np.zeros((b.shape[0],) * 2)]])
+    local = np.block([[hdiv, b.T], [b, np.zeros((b.shape[0],) * 2)]])
     saddle = spla.splu(_cell_sum(local, np.hstack([stress, disp + dofs.n_stress]), dofs.n_total))
-    metric = _cell_sum(d, cells, block.stop - block.start)
+    metric = _cell_sum(mass, disp, dofs.n_disp)
     rhs = np.zeros(dofs.n_total)
 
     def inverse(y):
-        rhs[block] = y
-        return sign * saddle.solve(rhs)[block]
+        rhs[dofs.n_stress :] = y
+        return -saddle.solve(rhs)[dofs.n_stress :]
 
     v0 = np.random.default_rng(0).standard_normal(metric.shape[0])
     op = spla.LinearOperator(metric.shape, matvec=inverse, dtype=float)
@@ -238,23 +233,10 @@ def _smallest_saddle_eigenvalue(
     lam = spla.eigsh(
         metric, k=1, M=metric, sigma=0.0, OPinv=op, v0=v0, tol=1e-13, return_eigenvectors=False
     )
-    return float(lam[0])
+    return float(np.sqrt(lam[0]))
 
 
-def infsup_probe(grid: TensorGrid, material: LameParams, max_dofs: int = 3000) -> float:
-    """Discrete inf-sup constant of the divergence coupling.
-
-    For each displacement v the best stress gives sup_tau (div tau, v) /
-    ||tau||_Hdiv = sqrt(v^T B S^-1 B^T v); minimizing over ||v||_0 = 1 is a
-    generalized eigenvalue problem against the displacement mass matrix.
-    The displacement block of [[S, B^T], [B, 0]]^-1 is -(B S^-1 B^T)^-1.
-    """
-    return float(np.sqrt(_smallest_saddle_eigenvalue(grid, material, max_dofs, on_stress=False)))
-
-
-def kernel_ellipticity_probe(
-    grid: TensorGrid, material: LameParams, max_dofs: int = 3000
-) -> float:
+def kernel_ellipticity_probe(grid: TensorGrid, material: LameParams) -> float:
     """Smallest Rayleigh quotient of the compliance form on the kernel of B.
 
     On that kernel the divergence vanishes pointwise, so the H(div) norm in
@@ -264,8 +246,8 @@ def kernel_ellipticity_probe(
                     >= |tau|^2 / (2 mu + n lam),
 
     with equality at the constant identity, which is divergence-free and in
-    every grid's stress space: the probe returns 1/(2 mu + n lam).
-    The stress block of [[M, B^T], [B, 0]]^-1 is Z (Z^T M Z)^-1 Z^T for any
-    kernel basis Z, so none is formed.
+    every grid's stress space.  The constant is therefore 1/(2 mu + n lam)
+    on every grid, returned in closed form with no factorization or
+    eigensolve.
     """
-    return _smallest_saddle_eigenvalue(grid, material, max_dofs, on_stress=True)
+    return 1.0 / material.trace_factor(grid.dim)

@@ -266,7 +266,7 @@ def test_criterion_8_stability_probes():
     alphas = []
     for n in (2, 4, 8):
         grid = unit_grid(2, n)
-        betas.append(infsup_probe(grid, MAT))
+        betas.append(infsup_probe(grid))
         alphas.append(kernel_ellipticity_probe(grid, MAT))
     decay_ok = all(b2 > 0.9 * b1 for b1, b2 in zip(betas, betas[1:]))
     floor = 1 / MAT.trace_factor(2) - 1e-10
@@ -292,8 +292,8 @@ def test_criterion_8_stability_probes_any_dimension(dim, levels):
     for n in levels:
         grid = unit_grid(dim, n)
         hs.append(grid.max_spacing)
-        betas.append(infsup_probe(grid, MAT, max_dofs=10_000))
-        alphas.append(kernel_ellipticity_probe(grid, MAT, max_dofs=10_000))
+        betas.append(infsup_probe(grid, max_dofs=10_000))
+        alphas.append(kernel_ellipticity_probe(grid, MAT))
     slope = fit_rate(hs, betas)
     floor = (1.0 - 1e-9) / MAT.trace_factor(dim)
     elapsed = time.perf_counter() - start

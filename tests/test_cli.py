@@ -96,7 +96,7 @@ def test_probe_columns(tmp_path):
     assert rows[0][-2:] == ["beta_h", "alpha_kernel"]
     betas = [float(r[-2]) for r in rows[1:3]]
     assert all(b > 0.05 for b in betas)
-    assert result.levels[0].alpha_kernel == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert result.levels[0].alpha_kernel == 1.0 / 3.0
 
 
 def test_probe_budget_skips_large_levels(tmp_path):
@@ -283,7 +283,7 @@ def test_config_file_roundtrip(tmp_path):
         "dim = 2\n"
         "levels = 2,4\n"
         'solution = "polynomial"\n'
-        "mu = 0.4\n"
+        "mu = 0.4  # shear modulus\n"
         "lambda = 2.0\n"
         "probe_infsup = false\n"
     )
@@ -301,13 +301,16 @@ def test_config_file_roundtrip(tmp_path):
 @CLI_WARNINGS
 def test_cli_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
-    out = tmp_path / "override.csv"
-    cfg.write_text(f"levels = 2\nsolution = sine\noutput = {out}\n")
-    code = main(["--config", str(cfg), "--solution", "polynomial", "--levels", "2,4"])
-    assert code == 0
-    assert capsys.readouterr().err == RATE_WARNING.format(2)
-    rows = _read_csv(out)
-    assert len(rows) == 3  # two levels, no rate row
+    # a '#' inside a value is not a comment
+    for name in ("override", "run#1"):
+        out = tmp_path / f"{name}.csv"
+        cfg.write_text(f"levels = 2\nsolution = sine\noutput = {out}\n")
+        code = main(["--config", str(cfg), "--solution", "polynomial", "--levels", "2,4"])
+        assert code == 0
+        assert capsys.readouterr().err == RATE_WARNING.format(2)
+        rows = _read_csv(out)
+        assert len(rows) == 3  # two levels, no rate row
+        assert (tmp_path / f"{name}.md").is_file()
 
 
 def test_config_file_errors(tmp_path):

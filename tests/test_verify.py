@@ -319,14 +319,16 @@ def test_mismatched_maps_rejected():
 
 
 def test_infsup_probe_positive_and_mesh_stable():
-    betas = [infsup_probe(unit_grid(2, n), MAT) for n in (2, 4)]
+    betas = [infsup_probe(unit_grid(2, n)) for n in (2, 4)]
     assert all(b > 0 for b in betas)
     assert betas[1] > 0.9 * betas[0]
 
 
 def test_kernel_ellipticity_bounded_below():
     # on the kernel of B the bound 1/(2 mu + n lam) of the compliance is
-    # attained by the constant identity, which every grid's stress space holds
+    # attained by the constant identity, which every grid's stress space
+    # holds; the probe returns that closed form, so the dense eigensolve on
+    # an SVD basis of the kernel is what is checked against it
     grids = [
         unit_grid(2, 4), unit_grid(2, 12), unit_grid(3, 4),
         TensorGrid(2, ((0.0, 3.0), (0.0, 1.0)), (9, 4)),
@@ -334,15 +336,13 @@ def test_kernel_ellipticity_bounded_below():
     for grid in grids:
         for mu, lam in [(0.5, 1.0), (0.5, 1e4), (3.0, 0.0), (0.2, 7.0), (0.7, 2.0)]:
             material = LameParams(mu=mu, lam=lam)
-            alpha = kernel_ellipticity_probe(grid, material)
-            assert alpha == pytest.approx(1 / material.trace_factor(grid.dim), rel=1e-10)
+            _, alpha = dense_stability_probes(grid, material)
+            assert alpha == pytest.approx(1 / material.trace_factor(grid.dim), rel=1e-10, abs=0)
 
 
 def test_probe_budget_enforced():
     with pytest.raises(ValueError, match="budget"):
-        infsup_probe(unit_grid(2, 32), MAT, max_dofs=3000)
-    with pytest.raises(ValueError, match="budget"):
-        kernel_ellipticity_probe(unit_grid(2, 32), MAT, max_dofs=100)
+        infsup_probe(unit_grid(2, 32), max_dofs=3000)
 
 
 ANISO_BOX = ((0.0, 1.0), (-0.5, 1.5), (0.2, 0.9), (0.0, 0.5))
@@ -355,22 +355,23 @@ def test_sparse_probes_match_dense_oracle(dim, n, lam):
     mu = float(np.random.default_rng(10 * dim + n).uniform(0.3, 2.0))
     material = LameParams(mu=mu, lam=lam)
     beta, alpha = dense_stability_probes(grid, material)
-    assert infsup_probe(grid, material) == pytest.approx(beta, rel=1e-10)
-    assert kernel_ellipticity_probe(grid, material) == pytest.approx(alpha, rel=1e-10)
-    assert alpha == pytest.approx(1 / material.trace_factor(dim), rel=1e-10)
+    assert infsup_probe(grid) == pytest.approx(beta, rel=1e-10)
+    assert kernel_ellipticity_probe(grid, material) == pytest.approx(alpha, rel=1e-10, abs=0)
+    assert alpha == pytest.approx(1 / material.trace_factor(dim), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
 def test_probes_uniform_in_lambda(dim, n):
+    # B, the Grams and the displacement mass do not depend on the material,
+    # so infsup_probe takes none; the dense oracle's beta and alpha are
+    # formed from the assembled system at each lam
     grid = unit_grid(dim, n)
-    betas = []
+    beta_h = infsup_probe(grid)
     for lam in (1.0, 1e4, 1e8):
         material = LameParams(mu=0.7, lam=lam)
-        alpha = kernel_ellipticity_probe(grid, material)
-        assert alpha == pytest.approx(1 / material.trace_factor(dim), rel=1e-6)
-        betas.append(infsup_probe(grid, material))
-    # B, the Grams and the displacement mass do not depend on the material
-    assert betas[0] == betas[1] == betas[2]
+        beta, alpha = dense_stability_probes(grid, material)
+        assert kernel_ellipticity_probe(grid, material) == pytest.approx(alpha, rel=1e-6, abs=0)
+        assert beta_h == pytest.approx(beta, rel=1e-10)
 
 
 def test_probes_need_no_dense_eigensolver(monkeypatch):
@@ -380,21 +381,21 @@ def test_probes_need_no_dense_eigensolver(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
     monkeypatch.setattr(scipy.linalg, "svd", refuse)
     grid = unit_grid(2, 12)
-    assert infsup_probe(grid, MAT) > 0.9
+    assert infsup_probe(grid) > 0.9
     assert kernel_ellipticity_probe(grid, MAT) >= 1 / MAT.trace_factor(2) - 1e-10
 
 
 def test_infsup_probe_past_default_budget():
     assert build_dof_map(unit_grid(2, 32)).n_total == 9345
-    beta = infsup_probe(unit_grid(2, 32), MAT, max_dofs=10_000)
+    beta = infsup_probe(unit_grid(2, 32), max_dofs=10_000)
     assert 0.9 <= beta <= 1.0
 
 
 def test_probe_lu_fill_on_closure_pattern(monkeypatch):
     # COLAMD on the exact pattern of the Grams fills the inf-sup LU 3.5x
     # more (471k at 2D N=16); the cell sum of the local saddle blocks stores
-    # every local entry, the element-closure pattern, which gives 140k for it
-    # and 117k for the kernel probe's LU, one LU per probe
+    # every local entry, the element-closure pattern, which gives 140k.  It
+    # is the one LU of a probed level: the kernel probe is a closed form
     import scipy.sparse.linalg as spla
 
     fills = []
@@ -407,10 +408,25 @@ def test_probe_lu_fill_on_closure_pattern(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     grid = unit_grid(2, 16)
-    infsup_probe(grid, MAT)
+    infsup_probe(grid)
     kernel_ellipticity_probe(grid, MAT)
-    assert len(fills) == 2
+    assert len(fills) == 1
     assert max(fills) < 200_000
+
+
+def test_kernel_ellipticity_is_closed_form(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel probe factored or eigensolved")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    for dim in (2, 3, 4):
+        for mu, lam in [(0.5, 1.0), (0.7, 1e8), (3.0, 0.0)]:
+            material = LameParams(mu=mu, lam=lam)
+            alpha = kernel_ellipticity_probe(unit_grid(dim, 64), material)
+            assert alpha == 1.0 / material.trace_factor(dim)
 
 
 def test_probes_assemble_nothing_and_never_factor_the_metric(monkeypatch):
@@ -430,7 +446,7 @@ def test_probes_assemble_nothing_and_never_factor_the_metric(monkeypatch):
     monkeypatch.setattr(elastmix.assembly, "_disp_csr", refuse)
     monkeypatch.setattr(arpack, "get_inv_matvec", refuse)
     grid = unit_grid(2, 8)
-    assert 0.9 <= infsup_probe(grid, MAT) <= 1.0
+    assert 0.9 <= infsup_probe(grid) <= 1.0
     assert kernel_ellipticity_probe(grid, MAT) == pytest.approx(1 / MAT.trace_factor(2), rel=1e-9)
 
 
