@@ -204,8 +204,8 @@ class StressInverse:
                 built.append((_node_factors(gram, n), buffers))
             self._groups.append((built, families))
 
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.empty_like(r) if out is None else out
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write Mb^-1 r into ``out`` and return it."""
         for sweeps, families in self._groups:
             for rows, shape, scale, _, blocks in families:
                 np.multiply(r[rows].reshape(shape, order="F"), scale, out=blocks[0])
@@ -305,10 +305,11 @@ class SchurInverse:
             orders = [[dim - 1 - j for j in others[c] + [c]] + [dim] for c in members]
             self._groups.append((list(zip(members, orders, blocks)), steps))
 
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the inverse of every S_c applied to r into ``out``, a
+        contiguous vector, and return it."""
         r = np.asarray(r).reshape(self._shape)
-        result = np.empty(r.size) if out is None else out
-        lattice = result.reshape(self._shape)
+        lattice = out.reshape(self._shape)
         exponent = int(np.frexp(max(r.max(), -r.min()))[1])
         for blocks, steps in self._groups:
             for c, order, block in blocks:
@@ -318,4 +319,4 @@ class SchurInverse:
             for c, order, block in blocks:
                 lattice[..., c, :].transpose(order)[...] = block
         np.ldexp(lattice, exponent + 2 * self._shift, out=lattice)
-        return result
+        return out

@@ -210,10 +210,9 @@ class SaddleSystem:
         return self.dofs.n_total
 
 
-def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap | None = None) -> SaddleSystem:
-    """Assemble the compliance block M and divergence block B on the grid."""
-    if dofs is None:
-        dofs = build_dof_map(grid)
+def assemble(grid: TensorGrid, material: LameParams, dofs: DofMap) -> SaddleSystem:
+    """Assemble the compliance block M and divergence block B on the grid,
+    numbered by the caller's DOF map ``dofs`` of that grid."""
     check_grid(grid, dofs)
     m_loc = local_compliance_matrix(grid.spacing, material)
     b_loc = local_div_matrix(grid.spacing)

@@ -9,6 +9,7 @@ error (argparse itself also exits with 2 on bad flags).
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import re
 import sys
@@ -50,15 +51,9 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}") from None
 
 
-_BOOLEANS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
 def _parse_bool(text: str) -> bool:
     try:
-        return _BOOLEANS[text.lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
         raise ValueError(f"bad boolean {text!r}; use 1/0, true/false, yes/no or on/off") from None
 
@@ -86,10 +81,14 @@ def parse_config_file(path: str) -> dict:
     """Read a key = value configuration file.
 
     '#' starts a comment at the start of a line or after whitespace, so a
-    value may hold one (``output = run#1.csv``).
+    value may hold one (``output = run#1.csv``).  A value may be wrapped in
+    one pair of matching quotes, which keep a '#' after whitespace too
+    (``output = "run #2.csv"``); only whitespace or a comment may follow the
+    closing quote.
 
-    A line that cannot be read or a value that cannot be converted raises
-    ValueError naming the file and line.
+    A line that cannot be read, an unclosed quote, text after the closing
+    one, or a value that cannot be converted raises ValueError naming the
+    file and line.
     """
     values: dict = {}
     with open(path) as handle:
@@ -100,8 +99,11 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip().strip("\"'")
+            key, value = key.strip(), value.strip()
+            if value[:1] in ("'", '"'):  # the comment split may have cut inside the quotes
+                value, closed, rest = raw.partition("=")[2].strip()[1:].partition(value[0])
+                if not closed or rest.strip()[:1] not in ("", "#"):
+                    raise ValueError(f"{path}:{lineno}: {key}: unclosed quote, or text after it")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             field, convert, _ = _CONFIG_KEYS[key]

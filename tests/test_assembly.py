@@ -121,7 +121,7 @@ def test_single_element_system_equals_local_matrices():
     # nothing is shared, so the global blocks are the local matrices seen
     # through the (fixed) local-to-global permutation
     grid = unit_grid(2, 1)
-    system = assemble(grid, MAT)
+    system = assemble(grid, MAT, build_dof_map(grid))
     s_perm = system.dofs.element_stress[0]
     d_perm = system.dofs.element_disp[0]
     m_global = system.M.toarray()[np.ix_(s_perm, s_perm)]
@@ -131,7 +131,8 @@ def test_single_element_system_equals_local_matrices():
 
 
 def test_global_quadratic_form_positive():
-    system = assemble(unit_grid(2, 3), MAT)
+    grid = unit_grid(2, 3)
+    system = assemble(grid, MAT, build_dof_map(grid))
     rng = np.random.default_rng(8)
     for _ in range(10):
         tau = rng.standard_normal(system.dofs.n_stress)
@@ -609,7 +610,7 @@ def test_matrices_are_kronecker_sums_of_the_1d_constants(grid, lam):
     # every global matrix is a short sum of Kronecker products of the 1D
     # reference matrices on [0, 1], assembled per axis
     material = LameParams(0.7, lam)
-    system = assemble(grid, material)
+    system = assemble(grid, material, build_dof_map(grid))
     for got, kron in zip((system.M, system.B), _kron_system(grid, material)):
         got = got.toarray()
         assert np.abs(got - kron).max() <= 1e-14 * np.abs(got).max()
@@ -668,5 +669,8 @@ def test_load_rejects_a_dof_map_of_another_grid(grid, dofs):
 def test_assemble_rejects_a_dof_map_of_another_grid(grid, dofs):
     with pytest.raises(ValueError, match="another grid"):
         assemble(grid, MAT, dofs)
+    # the caller passes its map: assemble builds none of its own
+    with pytest.raises(TypeError):
+        assemble(grid, MAT)
     rebuilt = TensorGrid(2, dofs.grid.box, dofs.grid.subdivisions)
     assert assemble(rebuilt, MAT, dofs).M.shape == (dofs.n_stress,) * 2

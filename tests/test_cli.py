@@ -301,16 +301,21 @@ def test_config_file_roundtrip(tmp_path):
 @CLI_WARNINGS
 def test_cli_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
-    # a '#' inside a value is not a comment
-    for name in ("override", "run#1"):
+    # a '#' inside a value is not a comment, nor is one after whitespace
+    # inside quotes; a comment may follow the closing quote
+    for name, value in (("override", "{}"), ("run#1", "{}"), ("run #2", '"{}"  # a comment')):
         out = tmp_path / f"{name}.csv"
-        cfg.write_text(f"levels = 2\nsolution = sine\noutput = {out}\n")
+        cfg.write_text(f"levels = 2\nsolution = sine\noutput = {value.format(out)}\n")
         code = main(["--config", str(cfg), "--solution", "polynomial", "--levels", "2,4"])
         assert code == 0
         assert capsys.readouterr().err == RATE_WARNING.format(2)
         rows = _read_csv(out)
         assert len(rows) == 3  # two levels, no rate row
         assert (tmp_path / f"{name}.md").is_file()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "override.csv", "override.md", "run #2.csv", "run #2.md", "run#1.csv", "run#1.md",
+        "study.cfg",
+    ]
 
 
 def test_config_file_errors(tmp_path):
@@ -328,8 +333,11 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ValueError, match="bad.cfg:1: unknown key"):
         parse_config_file(str(bad))
     assert main(["--config", str(bad)]) == 2
-    # a value that does not convert names its file and line
-    for line in ("levels = 4,x", "dim = two", "probe_infsup = maybe"):
+    # a value that does not convert, an unclosed quote and text after the
+    # closing quote name the file and line
+    for line in (
+        "levels = 4,x", "dim = two", "probe_infsup = maybe", 'output = "x.csv', 'output = "x.csv" junk'
+    ):
         bad.write_text(line + "\n")
         with pytest.raises(ValueError, match="bad.cfg:1"):
             parse_config_file(str(bad))

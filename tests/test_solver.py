@@ -44,23 +44,19 @@ def _assembled(n=2, dim=2, material=MAT):
 
 
 def _count_minres_iterations(monkeypatch):
-    """A list that grows by one entry per MINRES iteration of later solves."""
+    """A list that gets the iteration count of each MINRES run of later solves."""
     import elastmix.solver
 
-    iterations = []
+    runs = []
     minres = elastmix.solver._minres
 
     def counting_minres(*args):
-        *args, callback = args
-
-        def count(xk):
-            iterations.append(1)
-            callback(xk)
-
-        return minres(*args, count)
+        x, iterations = minres(*args)
+        runs.append(iterations)
+        return x, iterations
 
     monkeypatch.setattr(elastmix.solver, "_minres", counting_minres)
-    return iterations
+    return runs
 
 
 def test_zero_load_gives_zero_solution():
@@ -69,6 +65,7 @@ def test_zero_load_gives_zero_solution():
     assert np.abs(sigma.coeffs).max() == 0.0
     assert np.abs(u.coeffs).max() == 0.0
     assert report.residual == 0.0
+    assert report.iterations == 0
 
 
 def test_matches_dense_factorization_oracle():
@@ -139,7 +136,6 @@ def test_minres_agrees_with_direct():
         np.concatenate([np.zeros(dofs.n_stress), load]),
     )
     sigma_m, u_m, report = solve(system, load, tol=1e-9, method="minres")
-    assert report.method == "minres"
     assert report.iterations > 0
     assert report.residual <= 1e-9
     x_m = np.concatenate([sigma_m.coeffs, u_m.coeffs])
@@ -177,11 +173,11 @@ def test_inconsistent_singular_system_stops_within_the_run_cap(monkeypatch):
     b = system.B.copy()
     b.data[b.indptr[row] : b.indptr[row + 1]] = 0.0
     broken = dataclasses.replace(system, B=b)
-    iterations = _count_minres_iterations(monkeypatch)
+    runs = _count_minres_iterations(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
         solve(broken, load)
     assert info.value.residual >= abs(load[row]) / np.linalg.norm(load) * (1 - 1e-9)
-    assert 0 < len(iterations) <= 2 * _MAX_RUN_ITERATIONS
+    assert 0 < sum(runs) <= 2 * _MAX_RUN_ITERATIONS
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
@@ -216,10 +212,10 @@ def test_non_finite_matrix_rejected_before_iterating(block, monkeypatch):
     matrix = getattr(system, block).copy()
     matrix.data[5] = np.nan
     broken = dataclasses.replace(system, **{block: matrix})
-    iterations = _count_minres_iterations(monkeypatch)
+    runs = _count_minres_iterations(monkeypatch)
     with pytest.raises(SolverError, match="non-finite"):
         solve(broken, load)
-    assert len(iterations) == 0
+    assert runs == []
 
 
 def _linear_operator(f, size):
@@ -248,21 +244,19 @@ def test_in_place_minres_matches_scipy(dim, n):
     # correction run a whole right-hand side; both run the same iterates
     runs = {}
     for b in (load, rhs):
-        steps = []
-        x = _minres(multiply, apply, b, rhs.size, atol, 1000, steps.append)
-        stop = len(steps)
+        x, stop = _minres(multiply, apply, b, rhs.size, atol, 1000)
         # the stop rule: the 2-norm residual of the last iterate is at most atol
         out = np.empty_like(x)
         multiply(x, out)
         assert np.linalg.norm(rhs - out) <= atol
         # scipy with rtol 0 runs exactly maxiter iterations of the same recurrences
         for maxiter in (5, stop):
-            ours, theirs = [], []
-            x = _minres(multiply, apply, b, rhs.size, atol, maxiter, ours.append)
+            theirs = []
+            x, ours = _minres(multiply, apply, b, rhs.size, atol, maxiter)
             expected, _ = spla.minres(
                 matrix, rhs, rtol=0.0, maxiter=maxiter, M=precond, callback=theirs.append
             )
-            assert len(ours) == len(theirs) == maxiter
+            assert ours == len(theirs) == maxiter
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
         runs[b.size] = (stop, x)
     (stop_load, x_load), (stop_rhs, x_rhs) = runs.values()
@@ -355,15 +349,28 @@ def test_single_precision_schur_meets_contract_nearly_incompressible(dim, n):
 
 @pytest.mark.parametrize(
     "mu, lam",
-    [(1e10, 1.0), (1e20, 1.0), (8e10, 1.2e11), (1e60, 1.0), (1e100, 1e100)],
-    ids=["mu1e10", "mu1e20", "steel", "mu1e60", "mu_lam1e100"],
+    [
+        (1e10, 1.0),
+        (1e20, 1.0),
+        (8e10, 1.2e11),
+        (1e60, 1.0),
+        (1e100, 1e100),
+        pytest.param(
+            1e-8, 1e-8, marks=pytest.mark.xfail(raises=ConvergenceError, strict=True)
+        ),
+    ],
+    ids=["mu1e10", "mu1e20", "steel", "mu1e60", "mu_lam1e100", "mu_lam1e-8"],
 )
 @pytest.mark.parametrize("dim, n", [(2, 128), (3, 8)])
 def test_contract_independent_of_material_scale(dim, n, mu, lam):
     # stop tests measured against ||K|| ||x|| move with the units of mu:
     # they stopped at residuals of 1e-9 to 2e-4 here. The float32 Schur
     # factors carry the units of 1 / mu: unscaled, they leave float32's range
-    # from mu = 1e44 on, where MINRES breaks down or stops at residual 1.0
+    # from mu = 1e44 on, where MINRES breaks down or stops at residual 1.0.
+    # At small moduli rounding in the stress block of the residual, about
+    # eps ||B^T u||, exceeds the contract's bound, which falls with ||F|| (the
+    # ``solver`` docstring): mu = lam = 1e-8 ends at 4.5e-8 (2D N=128) and
+    # 3.4e-9 (3D N=8), so the contract, not the solver, has to change
     _, _, system, load = _assembled(n=n, dim=dim, material=LameParams(mu=mu, lam=lam))
     sigma_h, u_h, report = solve(system, load, tol=1e-11)
     residual = np.concatenate(
@@ -470,7 +477,7 @@ def test_auto_minres_meets_contract_past_direct_limit():
     grid, dofs, system, load = _assembled(n=150)
     assert system.n_total > DIRECT_SIZE_LIMIT
     _, _, report = solve(system, load, tol=1e-11, method="auto")
-    assert report.method == "minres"
+    assert report.iterations > 0
     assert report.residual <= 1e-11
 
 
@@ -509,9 +516,13 @@ def test_report_setup_time_and_restarts():
     _, _, minres = solve(system, load, method="minres")
     assert 0 < minres.setup_time <= minres.wall_time
     assert 0 <= minres.restarts < 8
-    # the two trailing fields default, so four-field constructions still work
-    four = SolveReport("direct", 0.0, 0, 1.0)
-    assert four == SolveReport("direct", 0.0, 0, 1.0, 0.0, 0)
+    # every solve runs MINRES, so the report names no method and no field
+    # defaults
+    fields = dataclasses.fields(SolveReport)
+    assert [f.name for f in fields] == [
+        "residual", "iterations", "wall_time", "setup_time", "restarts"
+    ]
+    assert all(f.default is dataclasses.MISSING for f in fields)
 
 
 def test_solve_builds_no_full_matrix(monkeypatch):
